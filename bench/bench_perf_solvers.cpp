@@ -100,21 +100,40 @@ BM_SteadySolveGrid(benchmark::State &state)
 }
 BENCHMARK(BM_SteadySolveGrid)->Arg(8)->Arg(16)->Arg(32);
 
+/**
+ * One Fig. 12 trace step: advance the block-mode EV6 by 3.33 us under
+ * the integrator @p kind (the modal basis is built before timing).
+ */
 void
-BM_Rk4TraceSample(benchmark::State &state)
+traceSample(benchmark::State &state, IntegratorKind kind)
 {
-    // One Fig. 12 trace step: advance the block-mode EV6 by 3.33 us.
     const Floorplan fp = floorplans::alphaEv6();
     const StackModel model(fp, PackageConfig::makeAirSink(0.3));
-    ThermalSimulator sim(model);
+    SimulatorOptions so;
+    so.integrator = kind;
+    ThermalSimulator sim(model, so);
     std::vector<double> powers(fp.blockCount(), 2.0);
     sim.setBlockPowers(powers);
+    sim.advance(3.33e-6);
     for (auto _ : state)
         sim.advance(3.33e-6);
     state.SetItemsProcessed(
         static_cast<int64_t>(state.iterations()));
 }
+
+void
+BM_Rk4TraceSample(benchmark::State &state)
+{
+    traceSample(state, IntegratorKind::AdaptiveRk4);
+}
 BENCHMARK(BM_Rk4TraceSample);
+
+void
+BM_ModalTraceSample(benchmark::State &state)
+{
+    traceSample(state, IntegratorKind::Modal);
+}
+BENCHMARK(BM_ModalTraceSample);
 
 void
 BM_BackwardEulerStepGrid(benchmark::State &state)

@@ -8,9 +8,12 @@
  * (one power sample per interval, temperatures read back between
  * intervals).
  *
- * Block-mode networks use HotSpot's adaptive RK4; grid-mode networks
- * are stiff enough that backward Euler with a fixed step is the
- * default. Either can be forced through the options.
+ * Block-mode networks step exactly in the eigenbasis of the RC
+ * network (numeric/modal_propagator.hh): the state lives in modal
+ * coordinates, an advance costs O(n) for any dt, and only the rows a
+ * caller reads are mapped back. Grid-mode networks are too large for
+ * a dense basis and use backward Euler with a fixed step. HotSpot's
+ * adaptive RK4 stays selectable as the explicit reference.
  */
 
 #ifndef IRTHERM_CORE_SIMULATOR_HH
@@ -20,6 +23,7 @@
 #include <vector>
 
 #include "core/stack_model.hh"
+#include "numeric/modal_propagator.hh"
 #include "numeric/ode.hh"
 #include "obs/metrics.hh"
 
@@ -29,9 +33,10 @@ namespace irtherm
 /** Integrator selection for ThermalSimulator. */
 enum class IntegratorKind
 {
-    Auto,          ///< RK4 for block mode, backward Euler for grid
-    AdaptiveRk4,
+    Auto,          ///< Modal for block mode, backward Euler for grid
+    AdaptiveRk4,   ///< HotSpot's explicit scheme (reference)
     BackwardEuler,
+    Modal,         ///< exact eigenbasis stepping; symmetric networks only
 };
 
 /** Simulation options. */
@@ -52,8 +57,16 @@ struct SimulatorOptions
 class ThermalSimulator
 {
   public:
+    /**
+     * Throws ConfigError when IntegratorKind::Modal, requested or
+     * picked by Auto, meets an advective (non-symmetric) model or one
+     * above ModalBasis::kMaxNodes nodes.
+     */
     explicit ThermalSimulator(const StackModel &model,
                               const SimulatorOptions &opts = {});
+
+    /** The integrator Auto resolved to (never Auto). */
+    IntegratorKind integrator() const { return kind; }
 
     /** Reset all nodes to ambient and time to zero. */
     void reset();
@@ -89,9 +102,16 @@ class ThermalSimulator
     const StackModel &model() const { return stack; }
 
   private:
+    /** Silicon-layer temperatures, one per partition cell (K). */
+    std::vector<double> siliconCells() const;
+
     const StackModel &stack;
     SimulatorOptions opts;
-    /** Node temperature rise above ambient. */
+    IntegratorKind kind;
+    /**
+     * Node temperature rise above ambient. Stale once the modal path
+     * is live: the state then lives in modalState.
+     */
     std::vector<double> rise;
     /** Node power vector for the current block powers. */
     std::vector<double> nodePower;
@@ -99,6 +119,14 @@ class ThermalSimulator
 
     std::unique_ptr<Rk4Integrator> rk4;
     std::unique_ptr<BackwardEulerIntegrator> be;
+    /**
+     * Modal path, created on the first advance (the model builds its
+     * basis then, not in steady-only use). While set, the state is
+     * modalState = Uᵀ C rise and the forcing modalForcing = Uᵀ P.
+     */
+    std::unique_ptr<ModalPropagator> modal;
+    std::vector<double> modalState;
+    std::vector<double> modalForcing;
 
     // Phase timings and progress (process-wide aggregates).
     obs::Counter &advancesMetric;

@@ -9,6 +9,7 @@
 #include "materials/convection.hh"
 #include "numeric/impulse_cache.hh"
 #include "numeric/iterative.hh"
+#include "numeric/modal_propagator.hh"
 #include "numeric/robust_solve.hh"
 #include "obs/metrics.hh"
 #include "obs/span.hh"
@@ -902,6 +903,19 @@ StackModel::heatThroughSecondary(
             q += gs.conductance * (node_temps[gs.node] - pkg_.ambient);
     }
     return q;
+}
+
+std::shared_ptr<const ModalBasis>
+StackModel::modalBasis() const
+{
+    if (advection) {
+        configError("modal integration needs a symmetric network; "
+                    "this model has advective (microchannel) coolant");
+    }
+    const std::lock_guard<std::mutex> lock(modal_->mu);
+    if (!modal_->basis)
+        modal_->basis = std::make_shared<const ModalBasis>(g_, cap_);
+    return modal_->basis;
 }
 
 double

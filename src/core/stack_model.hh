@@ -35,6 +35,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -46,6 +47,8 @@
 
 namespace irtherm
 {
+
+class ModalBasis;
 
 /** Spatial discretization of the die footprint. */
 enum class ModelMode
@@ -218,6 +221,16 @@ class StackModel
      */
     bool hasAdvection() const { return advection; }
 
+    /**
+     * Eigenbasis of (G, C) for exact transient stepping (see
+     * numeric/modal_propagator.hh). Built on the first call, once per
+     * model however many threads ask; later calls share it. Only the
+     * transient simulator's modal integrator calls this, so steady
+     * solves never pay the O(n³) build. Throws ConfigError on an
+     * advective (non-symmetric) network.
+     */
+    std::shared_ptr<const ModalBasis> modalBasis() const;
+
     /** Total silicon heat capacitance (J/K), for time-constant math. */
     double siliconCapacitance() const;
 
@@ -297,6 +310,14 @@ class StackModel
     std::size_t fluidNodeOffset = 0;
     std::size_t fluidNodeCount = 0;
     bool advection = false;
+
+    /** Lazily built modal basis; boxed so the model stays movable. */
+    struct ModalSlot
+    {
+        std::mutex mu;
+        std::shared_ptr<const ModalBasis> basis;
+    };
+    std::unique_ptr<ModalSlot> modal_ = std::make_unique<ModalSlot>();
 };
 
 } // namespace irtherm

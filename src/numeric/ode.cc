@@ -1,6 +1,7 @@
 #include "numeric/ode.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 #include "base/fault_injection.hh"
@@ -94,7 +95,9 @@ Rk4Integrator::Rk4Integrator(const CsrMatrix &g_,
       stepSizeHist(obs::MetricsRegistry::global().histogram(
           "numeric.rk4.step_size_s")),
       errorHist(obs::MetricsRegistry::global().histogram(
-          "numeric.rk4.error_estimate_k"))
+          "numeric.rk4.error_estimate_k")),
+      stiffMetric(obs::MetricsRegistry::global().counter(
+          "numeric.rk4.stiff_advances"))
 {
     checkSizes(g, invC);
     for (double &c : invC)
@@ -169,6 +172,7 @@ Rk4Integrator::advance(std::vector<double> &temps,
     obs::ScopedSpan span("numeric.rk4.advance");
     span.attr("dt_s", dt);
     const std::size_t stepsBefore = steps;
+    std::size_t rejected = 0;
 
     double t = 0.0;
     double h = std::min(lastStep, dt);
@@ -205,11 +209,25 @@ Rk4Integrator::advance(std::vector<double> &temps,
             h = std::max(h, opts.minStep);
         } else {
             rejectedMetric.add();
+            ++rejected;
             h = std::max(0.5 * h, opts.minStep);
         }
     }
     lastStep = h;
-    span.attr("steps", steps - stepsBefore);
+    const std::size_t accepted = steps - stepsBefore;
+    span.attr("steps", accepted).attr("rejected", rejected);
+    // Solver health: step doubling that keeps rejecting is tracking
+    // a stiffness limit, not accuracy; the modal path is exact there.
+    if (10 * rejected > 3 * (accepted + rejected)) {
+        stiffMetric.add();
+        static std::atomic<bool> warned{false};
+        if (!warned.exchange(true)) {
+            warn("adaptive RK4 rejected ", rejected, " of ",
+                 accepted + rejected,
+                 " steps in one advance: stiff system; the modal "
+                 "integrator steps block-mode networks exactly");
+        }
+    }
 }
 
 BackwardEulerIntegrator::BackwardEulerIntegrator(

@@ -2,11 +2,17 @@
  * @file
  * Time integrators for the linear thermal ODE  C dT/dt = P - G T.
  *
- * Three integrators with different stability/cost tradeoffs:
+ * Three step-by-step integrators with different stability/cost
+ * tradeoffs (block-mode networks default to the exact modal
+ * propagator of numeric/modal_propagator.hh instead):
  *
  *  - Rk4Integrator: explicit adaptive Runge-Kutta 4 with step
- *    doubling, the classic HotSpot scheme. Best for block-mode
- *    networks (hundreds of nodes, moderate stiffness).
+ *    doubling, the classic HotSpot scheme, kept as the explicit
+ *    reference. Its step is bounded by the fastest mode, so a stiff
+ *    network (ms die modes under a minutes-long sink) costs many
+ *    rejected steps; numeric.rk4.stiff_advances counts advances that
+ *    rejected more than 30% of their trial steps, and the first one
+ *    logs a warning.
  *  - BackwardEulerIntegrator: L-stable implicit method with a fixed
  *    step; unconditionally stable on stiff grid-mode networks.
  *  - CrankNicolsonIntegrator: second-order implicit; used by the
@@ -100,6 +106,8 @@ class Rk4Integrator
     obs::Counter &rejectedMetric;
     obs::Histogram &stepSizeHist;
     obs::Histogram &errorHist;
+    /** Advances that rejected > 30% of their trial steps. */
+    obs::Counter &stiffMetric;
 };
 
 /**

@@ -174,9 +174,11 @@ ScenarioSpec::resolve() const
                 r.integrator = IntegratorKind::AdaptiveRk4;
             else if (value == "be")
                 r.integrator = IntegratorKind::BackwardEuler;
+            else if (value == "modal")
+                r.integrator = IntegratorKind::Modal;
             else
-                configError(ctx, ": integrator must be 'auto', 'rk4', or "
-                           "'be'");
+                configError(ctx, ": integrator must be 'auto', 'rk4', "
+                           "'be', or 'modal'");
         } else if (key == "power.uniform") {
             uniformPower = parseDouble(value, ctx);
             havePowerKey = true;

@@ -27,7 +27,7 @@
  *   ptrace                 HotSpot .ptrace path (steady: its average)
  *   ptrace.sampling        trace sample interval, seconds
  *   mode                   "steady" (default) | "transient"
- *   integrator             "auto" | "rk4" | "be"
+ *   integrator             "auto" | "rk4" | "be" | "modal"
  *   solver.max_iterations  steady CG iteration budget
  *   solver.tolerance       steady CG relative tolerance
  *   solver.fallback        bool (default true): escalate failed

@@ -214,7 +214,9 @@ TEST(Simulator, BackwardEulerMatchesRk4OnSameModel)
     PackageConfig oil = PackageConfig::makeOilSilicon(10.0);
     const StackModel model(s.fp, oil);
 
-    ThermalSimulator rk4(model);
+    SimulatorOptions rk4so;
+    rk4so.integrator = IntegratorKind::AdaptiveRk4;
+    ThermalSimulator rk4(model, rk4so);
     rk4.setBlockPowers(s.powers);
     rk4.advance(1.0);
 
@@ -273,7 +275,9 @@ TEST(Simulator, AdvancePopulatesGlobalMetrics)
         GTEST_SKIP() << "instrumentation compiled out";
     const WarmupSetup s;
     const StackModel model(s.fp, PackageConfig::makeOilSilicon(10.0));
-    ThermalSimulator sim(model); // block mode -> adaptive RK4
+    SimulatorOptions rk4so;
+    rk4so.integrator = IntegratorKind::AdaptiveRk4;
+    ThermalSimulator sim(model, rk4so);
     sim.setBlockPowers(s.powers);
 
     obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
@@ -306,6 +310,25 @@ TEST(Simulator, AdvancePopulatesGlobalMetrics)
     EXPECT_TRUE(reg.has("numeric.be.solves"));
     EXPECT_TRUE(reg.has("numeric.be.cg_iterations"));
     EXPECT_TRUE(reg.has("numeric.be.warm_start_residual"));
+
+    // Block mode under Auto steps modally: the first advance builds
+    // the model's basis (one build, one mode per node); RK4 idles.
+    const std::uint64_t builds_before =
+        reg.counter("numeric.modal.builds").value();
+    const std::uint64_t rk4_after = reg.counter("numeric.rk4.steps").value();
+    ThermalSimulator modal(model);
+    EXPECT_EQ(modal.integrator(), IntegratorKind::Modal);
+    modal.setBlockPowers(s.powers);
+    modal.advance(1e-3);
+    modal.advance(1e-3);
+    EXPECT_TRUE(reg.has("numeric.modal.build_seconds"));
+    EXPECT_EQ(reg.counter("numeric.modal.builds").value(),
+              builds_before + 1);
+    EXPECT_EQ(reg.timerAt("numeric.modal.build_seconds").count(),
+              reg.counter("numeric.modal.builds").value());
+    EXPECT_DOUBLE_EQ(reg.gaugeAt("numeric.modal.modes").value(),
+                     static_cast<double>(model.nodeCount()));
+    EXPECT_EQ(reg.counter("numeric.rk4.steps").value(), rk4_after);
 }
 
 } // namespace

@@ -12,9 +12,12 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "base/errors.hh"
 #include "base/logging.hh"
+#include "core/simulator.hh"
 #include "sweep/json.hh"
 #include "sweep/plan.hh"
 #include "sweep/result_store.hh"
@@ -218,6 +221,35 @@ TEST(Scenario, ResolveValidates)
     EXPECT_EQ(r.blockPowers.size(), r.floorplan.blockCount());
     EXPECT_DOUBLE_EQ(
         r.blockPowers[r.floorplan.blockIndex("IntReg")], 4.0);
+}
+
+TEST(Scenario, IntegratorKeyAcceptsEveryChoice)
+{
+    const std::pair<const char *, IntegratorKind> choices[] = {
+        {"auto", IntegratorKind::Auto},
+        {"rk4", IntegratorKind::AdaptiveRk4},
+        {"be", IntegratorKind::BackwardEuler},
+        {"modal", IntegratorKind::Modal},
+    };
+    for (const auto &[name, kind] : choices) {
+        ScenarioSpec spec;
+        spec.set("floorplan", "preset:ev6");
+        spec.set("power.uniform", "0.5");
+        spec.set("integrator", name);
+        EXPECT_EQ(spec.resolve().integrator, kind) << name;
+    }
+    ScenarioSpec bad;
+    bad.set("floorplan", "preset:ev6");
+    bad.set("power.uniform", "0.5");
+    bad.set("integrator", "euler");
+    try {
+        bad.resolve();
+        ADD_FAILURE() << "unknown integrator accepted";
+    } catch (const ConfigError &e) {
+        for (const char *name : {"'auto'", "'rk4'", "'be'", "'modal'"})
+            EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+                << name;
+    }
 }
 
 // ---------------------------------------------------------------

@@ -608,9 +608,9 @@ loadFloorplan(const CliOptions &opt)
  * applied to the trace powers before each advance.
  *
  * When the primary model is grid mode, a block-mode companion model
- * is replayed under the same powers with the adaptive-RK4 path (the
- * paper's HotSpot-style flow), and the worst per-block disagreement
- * between the two fidelities is reported.
+ * (the paper's HotSpot-style flow) is replayed under the same powers,
+ * stepped exactly in its modal basis, and the worst per-block
+ * disagreement between the two fidelities is reported.
  */
 void
 runTransient(const CliOptions &opt, const Floorplan &fp,
@@ -814,9 +814,9 @@ run(const CliOptions &opt)
     }
 
     if (opt.transient) {
-        // Grid-mode replays carry a block-mode companion so the
-        // adaptive-RK4 path is exercised and the two fidelities can
-        // be compared (the paper's central question).
+        // Grid-mode replays carry a block-mode companion (modal
+        // integrator) so the two fidelities can be compared (the
+        // paper's central question).
         std::unique_ptr<StackModel> block_model;
         if (cfg.model.mode == ModelMode::Grid) {
             ModelOptions mo = cfg.model;
