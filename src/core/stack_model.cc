@@ -84,11 +84,17 @@ StackModel::StackModel(const Floorplan &fp, const PackageConfig &pkg,
                        const ModelOptions &opts)
     : fp_(fp), pkg_(pkg), opts_(opts)
 {
+    auto &reg = obs::MetricsRegistry::global();
+    obs::ScopedTimer timer(reg.timer("core.stack_model.build_seconds"));
+    obs::ScopedSpan span("core.stack_model.build");
     fp_.validate();
     pkg_.check(fp_.width(), fp_.height());
     buildPartition();
     buildLayers();
     assemble();
+    reg.counter("core.stack_model.builds").add();
+    span.attr("nodes", cap_.size())
+        .attr("mode", opts_.mode == ModelMode::Grid ? "grid" : "block");
 }
 
 void

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 
 #include "base/errors.hh"
@@ -17,20 +16,7 @@ namespace irtherm::fabric
 namespace
 {
 
-/** Shortest round-trippable decimal for a double (JSON-safe). */
-std::string
-jsonNumber(double v)
-{
-    if (!std::isfinite(v))
-        return "null";
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    char shortBuf[40];
-    std::snprintf(shortBuf, sizeof(shortBuf), "%g", v);
-    double back = 0.0;
-    std::sscanf(shortBuf, "%lf", &back);
-    return back == v ? shortBuf : buf;
-}
+using obs::jsonNumber;
 
 std::uint64_t
 u64At(const sweep::JsonValue &doc, const char *key)

@@ -4,7 +4,6 @@
 
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <thread>
 #include <utility>
@@ -32,6 +31,8 @@ namespace irtherm::fabric
 namespace
 {
 
+using obs::jsonNumber;
+
 using sweep::JobResult;
 using sweep::JobStatus;
 using sweep::JsonValue;
@@ -42,21 +43,6 @@ sleepSeconds(double s)
 {
     std::this_thread::sleep_for(
         std::chrono::duration<double>(std::max(0.0, s)));
-}
-
-/** Shortest round-trippable decimal for a double (JSON-safe). */
-std::string
-jsonNum(double v)
-{
-    if (!std::isfinite(v))
-        return "null";
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    char shortBuf[40];
-    std::snprintf(shortBuf, sizeof(shortBuf), "%g", v);
-    double back = 0.0;
-    std::sscanf(shortBuf, "%lf", &back);
-    return back == v ? shortBuf : buf;
 }
 
 /** One leased batch as decoded off the wire. */
@@ -182,7 +168,7 @@ runWorker(const WorkerOptions &opts)
             "\",\"trace\":\"" + adopted.traceId +
             "\",\"lease_span\":\"" + obs::spanIdHex(adopted.spanId) +
             "\",\"wall_epoch_unix_s\":" +
-            jsonNum(obs::wallClockStartUnixSeconds()) +
+            jsonNumber(obs::wallClockStartUnixSeconds()) +
             ",\"dropped\":" + std::to_string(rec.dropped()) +
             ",\"spans\":[";
         for (std::size_t i = snap.size() - take; i < snap.size();
@@ -199,8 +185,8 @@ runWorker(const WorkerOptions &opts)
                         ",\"tid\":" + std::to_string(s.threadIndex) +
                         ",\"depth\":" + std::to_string(s.depth) +
                         ",\"name\":\"" + obs::jsonEscape(s.name) +
-                        "\",\"start_s\":" + jsonNum(s.startSeconds) +
-                        ",\"dur_s\":" + jsonNum(s.durationSeconds);
+                        "\",\"start_s\":" + jsonNumber(s.startSeconds) +
+                        ",\"dur_s\":" + jsonNumber(s.durationSeconds);
                 if (!s.attrs.empty()) {
                     body += ",\"attrs\":{";
                     bool first = true;
@@ -211,7 +197,7 @@ runWorker(const WorkerOptions &opts)
                         body += "\"" + obs::jsonEscape(f.key) +
                                 "\":";
                         if (f.numeric)
-                            body += jsonNum(f.num);
+                            body += jsonNumber(f.num);
                         else
                             body += "\"" + obs::jsonEscape(f.text) +
                                     "\"";

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "base/errors.hh"
 #include "base/logging.hh"
 #include "base/str.hh"
 
@@ -167,7 +168,7 @@ Floorplan::loadFlp(const std::string &path)
 {
     std::ifstream in(path);
     if (!in)
-        fatal("Floorplan: cannot open '", path, "'");
+        ioError("Floorplan: cannot open '", path, "'");
     return parseFlp(in);
 }
 

@@ -1,6 +1,7 @@
 #include "obs/export.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -16,22 +17,6 @@ namespace irtherm::obs
 
 namespace
 {
-
-/** Shortest round-trippable decimal for a double (JSON-safe). */
-std::string
-jsonNumber(double v)
-{
-    if (!std::isfinite(v))
-        return "null";
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    // Prefer the shorter %g form when it round-trips exactly.
-    char shortBuf[40];
-    std::snprintf(shortBuf, sizeof(shortBuf), "%g", v);
-    double back = 0.0;
-    std::sscanf(shortBuf, "%lf", &back);
-    return back == v ? shortBuf : buf;
-}
 
 std::string
 jsonString(const std::string &s)
@@ -69,6 +54,30 @@ appendHistogramJson(std::ostringstream &os, const Histogram &h)
 }
 
 } // namespace
+
+std::string
+jsonNumberExact(double v)
+{
+    // to_chars with an explicit precision is specified as printf's
+    // conversion, without printf's format parsing and locale lookups.
+    char buf[32];
+    const auto res = std::to_chars(buf, buf + sizeof(buf), v,
+                                   std::chars_format::general, 17);
+    return std::string(buf, res.ptr);
+}
+
+std::string
+jsonNumber(double v)
+{
+    if (!std::isfinite(v))
+        return "null";
+    char buf[32];
+    const auto res = std::to_chars(buf, buf + sizeof(buf), v,
+                                   std::chars_format::general, 6);
+    double back = 0.0;
+    std::from_chars(buf, res.ptr, back);
+    return back == v ? std::string(buf, res.ptr) : jsonNumberExact(v);
+}
 
 std::string
 jsonEscape(const std::string &s)

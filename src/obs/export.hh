@@ -34,6 +34,19 @@ namespace irtherm::obs
 /** Escape a string for embedding inside a JSON string literal. */
 std::string jsonEscape(const std::string &s);
 
+/**
+ * Shortest JSON spelling of @p v: the "%g" form when it parses back
+ * to exactly @p v, else "%.17g"; "null" when @p v is not finite.
+ */
+std::string jsonNumber(double v);
+
+/**
+ * "%.17g" of @p v, byte for byte, which round-trips every finite
+ * double (the journal's and checkpoints' form). Non-finite values
+ * print as printf prints them: "nan", "-nan", "inf", "-inf".
+ */
+std::string jsonNumberExact(double v);
+
 /** Serialize the registry as an "irtherm.stats.v1" JSON document. */
 std::string metricsToJson(const MetricsRegistry &reg);
 

@@ -5,6 +5,7 @@
 #include <ostream>
 #include <sstream>
 
+#include "base/errors.hh"
 #include "base/logging.hh"
 #include "base/str.hh"
 
@@ -174,7 +175,7 @@ PowerTrace::loadPtrace(const std::string &path, double sample_interval)
 {
     std::ifstream in(path);
     if (!in)
-        fatal("PowerTrace: cannot open '", path, "'");
+        ioError("PowerTrace: cannot open '", path, "'");
     return parsePtrace(in, sample_interval);
 }
 

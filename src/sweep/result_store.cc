@@ -19,13 +19,7 @@ namespace irtherm::sweep
 namespace
 {
 
-std::string
-jsonNumber(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
+using obs::jsonNumberExact;
 
 std::uint64_t
 fileSizeOrZero(const std::string &path)
@@ -108,20 +102,20 @@ JobResult::toJsonLine() const
            std::string(errorClassName(errorClass)) + "\"";
     out += ",\"attempts\":" + std::to_string(attempts);
     out += ",\"fallback_tier\":" + std::to_string(fallbackTier);
-    out += ",\"wall_s\":" + jsonNumber(wallSeconds);
-    out += ",\"peak_c\":" + jsonNumber(peakCelsius);
-    out += ",\"min_c\":" + jsonNumber(minCelsius);
-    out += ",\"gradient_k\":" + jsonNumber(gradientKelvin);
+    out += ",\"wall_s\":" + jsonNumberExact(wallSeconds);
+    out += ",\"peak_c\":" + jsonNumberExact(peakCelsius);
+    out += ",\"min_c\":" + jsonNumberExact(minCelsius);
+    out += ",\"gradient_k\":" + jsonNumberExact(gradientKelvin);
     out += ",\"hottest\":\"" + obs::jsonEscape(hottestUnit) + "\"";
-    out += ",\"heat_primary_w\":" + jsonNumber(heatPrimaryWatts);
-    out += ",\"heat_secondary_w\":" + jsonNumber(heatSecondaryWatts);
+    out += ",\"heat_primary_w\":" + jsonNumberExact(heatPrimaryWatts);
+    out += ",\"heat_secondary_w\":" + jsonNumberExact(heatSecondaryWatts);
     out += ",\"cg_iterations\":" + std::to_string(cgIterations);
     out += ",\"warm_start\":";
     out += warmStarted ? "true" : "false";
     out += ",\"impulse_hit\":";
     out += impulseCacheHit ? "true" : "false";
     out += ",\"resources\":{\"cpu_s\":" +
-           jsonNumber(resources.cpuSeconds) +
+           jsonNumberExact(resources.cpuSeconds) +
            ",\"rss_delta_kb\":" +
            std::to_string(resources.peakRssDeltaKb) +
            ",\"solver_iterations\":" +
@@ -158,7 +152,7 @@ JobResult::toJsonLine() const
             out += ',';
         first = false;
         out += "\"" + obs::jsonEscape(block) +
-               "\":" + jsonNumber(celsius);
+               "\":" + jsonNumberExact(celsius);
     }
     out += "}}";
     return out;

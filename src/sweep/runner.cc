@@ -6,6 +6,7 @@
 #include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
@@ -82,6 +83,121 @@ class WarmStartCache
     std::map<std::uint64_t, std::vector<double>> riseByStack;
 };
 
+/**
+ * Assembled RC networks shared by the jobs of one stack, keyed by
+ * the exact ScenarioSpec::stackKey() (never by its hash: a collision
+ * must not hand a job another stack's network). A stack announced
+ * through expect() gets one immutable StackModel, built by its first
+ * job and dropped once its last announced job finishes, so resident
+ * models are bounded by the shared stacks in flight. Jobs of stacks
+ * never announced assemble their own model. Concurrent first jobs
+ * wait for a single build; a build that throws is not kept, so each
+ * job reports its own error and a retry rebuilds.
+ */
+class StackModelCache
+{
+  public:
+    using Builder = std::function<std::shared_ptr<const StackModel>()>;
+
+    ~StackModelCache()
+    {
+        liveGauge().add(-static_cast<double>(live));
+    }
+
+    /** @p jobs pending jobs will run on @p stack_key. */
+    void
+    expect(const std::string &stack_key, std::size_t jobs)
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        entries[stack_key].pending = jobs;
+    }
+
+    /** The stack's shared model, built by @p build on first use. */
+    std::shared_ptr<const StackModel>
+    acquire(const std::string &stack_key, const Builder &build)
+    {
+        std::unique_lock<std::mutex> lock(mu);
+        for (;;) {
+            const auto it = entries.find(stack_key);
+            if (it == entries.end()) {
+                lock.unlock();
+                return build(); // not shared: assemble for this job
+            }
+            if (it->second.model)
+                return it->second.model;
+            if (!it->second.building) {
+                it->second.building = true;
+                break;
+            }
+            cv.wait(lock);
+        }
+        lock.unlock();
+        std::shared_ptr<const StackModel> model;
+        try {
+            model = build();
+        } catch (...) {
+            finishBuild(stack_key, nullptr);
+            throw;
+        }
+        finishBuild(stack_key, model);
+        return model;
+    }
+
+    /** One job of @p stack_key finished; the last drops the model. */
+    void
+    release(const std::string &stack_key)
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        const auto it = entries.find(stack_key);
+        if (it == entries.end() || --it->second.pending != 0)
+            return;
+        if (it->second.model) {
+            --live;
+            liveGauge().add(-1.0);
+        }
+        entries.erase(it);
+        cv.notify_all();
+    }
+
+  private:
+    struct Entry
+    {
+        std::size_t pending = 0;
+        bool building = false;
+        std::shared_ptr<const StackModel> model;
+    };
+
+    static obs::Gauge &
+    liveGauge()
+    {
+        static obs::Gauge &g = obs::MetricsRegistry::global().gauge(
+            "sweep.stack_models.live");
+        return g;
+    }
+
+    void
+    finishBuild(const std::string &stack_key,
+                std::shared_ptr<const StackModel> model)
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        const auto it = entries.find(stack_key);
+        if (it != entries.end()) {
+            it->second.building = false;
+            if (model) {
+                it->second.model = std::move(model);
+                ++live;
+                liveGauge().add(1.0);
+            }
+        }
+        cv.notify_all();
+    }
+
+    std::mutex mu;
+    std::condition_variable cv;
+    std::map<std::string, Entry> entries;
+    std::size_t live = 0; ///< entries holding a model
+};
+
 /** Fill the thermal summary of @p r from a solved node state. */
 void
 summarize(JobResult &r, const StackModel &model,
@@ -124,8 +240,9 @@ summarize(JobResult &r, const StackModel &model,
  *  for the impulse-response matrix to amortize. */
 JobResult
 runOneJob(const ScenarioSpec &spec, const SweepOptions &opts,
-          WarmStartCache &warm, std::size_t attempt,
-          const std::string &workerLabel, bool allowSuperposition)
+          WarmStartCache &warm, StackModelCache &models,
+          std::size_t attempt, const std::string &workerLabel,
+          bool allowSuperposition)
 {
     JobResult r;
     r.hash = spec.hashHex();
@@ -162,8 +279,12 @@ runOneJob(const ScenarioSpec &spec, const SweepOptions &opts,
         }
         const ResolvedScenario rs = spec.resolve();
         checkDeadline(deadline);
-        const StackModel model(rs.floorplan, rs.config.package,
-                               rs.config.model);
+        const std::shared_ptr<const StackModel> shared =
+            models.acquire(spec.stackKey(), [&] {
+                return std::make_shared<const StackModel>(
+                    rs.floorplan, rs.config.package, rs.config.model);
+            });
+        const StackModel &model = *shared;
         checkDeadline(deadline);
 
         std::vector<double> nodes;
@@ -330,26 +451,28 @@ class AbandonedJobs
  * thread; if it is still unresponsive at
  * jobTimeoutSeconds * watchdogGraceFactor (past every cooperative
  * checkpoint), the thread is abandoned — it holds only copies of the
- * spec/options and the shared warm-start cache, so it can outlive
- * the sweep safely — and the job is recorded as `hung`.
+ * spec/options and the shared warm-start and model caches, so it can
+ * outlive the sweep safely — and the job is recorded as `hung`.
  */
 JobResult
 runGuarded(const ScenarioSpec &spec, const SweepOptions &opts,
            const std::shared_ptr<WarmStartCache> &warm,
+           const std::shared_ptr<StackModelCache> &models,
            AbandonedJobs &abandoned, std::size_t attempt,
            const std::string &workerLabel, bool allowSuperposition)
 {
     if (opts.jobTimeoutSeconds <= 0.0)
-        return runOneJob(spec, opts, *warm, attempt, workerLabel,
-                         allowSuperposition);
+        return runOneJob(spec, opts, *warm, *models, attempt,
+                         workerLabel, allowSuperposition);
 
     auto cell = std::make_shared<JobCell>();
     auto specCopy = std::make_shared<ScenarioSpec>(spec);
     auto optsCopy = std::make_shared<SweepOptions>(opts);
-    std::thread runner([cell, specCopy, optsCopy, warm, attempt,
-                        workerLabel, allowSuperposition] {
-        JobResult jr = runOneJob(*specCopy, *optsCopy, *warm, attempt,
-                                 workerLabel, allowSuperposition);
+    std::thread runner([cell, specCopy, optsCopy, warm, models,
+                        attempt, workerLabel, allowSuperposition] {
+        JobResult jr =
+            runOneJob(*specCopy, *optsCopy, *warm, *models, attempt,
+                      workerLabel, allowSuperposition);
         std::lock_guard<std::mutex> lock(cell->mu);
         cell->result = std::move(jr);
         cell->done = true;
@@ -416,6 +539,8 @@ struct JobExecutor::Impl
     SerialKernelGuard serialKernels;
     std::shared_ptr<WarmStartCache> warm =
         std::make_shared<WarmStartCache>();
+    std::shared_ptr<StackModelCache> models =
+        std::make_shared<StackModelCache>();
     AbandonedJobs abandoned;
 
     explicit Impl(const SweepOptions &o) : opts(o) {}
@@ -444,8 +569,9 @@ JobExecutor::run(const ScenarioSpec &spec, bool allowSuperposition,
     {
         obs::ScopedTimer jobTimer(reg.timer("sweep.job_time"));
         for (;; ++attempt) {
-            r = runGuarded(spec, opts, impl->warm, impl->abandoned,
-                           attempt, workerLabel, allowSuperposition);
+            r = runGuarded(spec, opts, impl->warm, impl->models,
+                           impl->abandoned, attempt, workerLabel,
+                           allowSuperposition);
             acc.cpuSeconds += r.resources.cpuSeconds;
             acc.peakRssDeltaKb += r.resources.peakRssDeltaKb;
             acc.solverIterations += r.resources.solverIterations;
@@ -468,11 +594,19 @@ JobExecutor::run(const ScenarioSpec &spec, bool allowSuperposition,
                 std::chrono::duration<double>(delay));
         }
     }
+    impl->models->release(spec.stackKey());
     r.attempts = attempt;
     acc.retries = attempt - 1;
     acc.fallbackEscalations = r.fallbackTier;
     r.resources = acc;
     return r;
+}
+
+void
+JobExecutor::shareStackModel(const std::string &stackKey,
+                             std::size_t pendingJobs)
+{
+    impl->models->expect(stackKey, pendingJobs);
 }
 
 void
@@ -548,23 +682,27 @@ runSweep(const SweepPlan &plan, const SweepOptions &opts)
         pending.push_back(&spec);
     }
 
-    // Steady jobs per stack hash: a stack crossing the superposition
-    // threshold amortizes its impulse-response build (one solve per
-    // block) across all of its jobs.
-    std::map<std::uint64_t, std::size_t> stackJobs;
-    if (opts.superpositionMinJobs != 0) {
-        for (const ScenarioSpec *spec : pending) {
-            const std::string *mode = spec->find("mode");
-            if (mode == nullptr || *mode == "steady")
-                ++stackJobs[spec->stackHash()];
-        }
+    // Pending jobs per stack. Every stack with two or more shares one
+    // assembled model across them; a stack whose steady jobs cross
+    // the superposition threshold amortizes its impulse-response
+    // build (one solve per block) across all of them.
+    struct StackJobs
+    {
+        std::size_t all = 0;
+        std::size_t steady = 0;
+    };
+    std::map<std::string, StackJobs> stackJobs;
+    for (const ScenarioSpec *spec : pending) {
+        StackJobs &n = stackJobs[spec->stackKey()];
+        ++n.all;
+        const std::string *mode = spec->find("mode");
+        if (mode == nullptr || *mode == "steady")
+            ++n.steady;
     }
     const auto superpositionEligible = [&](const ScenarioSpec &spec) {
-        if (opts.superpositionMinJobs == 0)
-            return false;
-        const auto it = stackJobs.find(spec.stackHash());
-        return it != stackJobs.end() &&
-               it->second >= opts.superpositionMinJobs;
+        return opts.superpositionMinJobs != 0 &&
+               stackJobs.at(spec.stackKey()).steady >=
+                   opts.superpositionMinJobs;
     };
 
     IRTHERM_EVENT("sweep.start", {"plan", plan.name()},
@@ -573,6 +711,10 @@ runSweep(const SweepPlan &plan, const SweepOptions &opts)
                   {"shared_cache_hits", sum.sharedCacheHits});
 
     JobExecutor executor(opts);
+    for (const auto &[key, n] : stackJobs) {
+        if (n.all >= 2)
+            executor.shareStackModel(key, n.all);
+    }
     std::atomic<std::size_t> nextJob{0};
     std::atomic<std::size_t> executed{0};
     std::mutex sumMu;

@@ -25,9 +25,15 @@
  * watchdog's hard deadline (timeout x grace factor) has its thread
  * abandoned and is recorded as `hung`.
  *
- * Warm starts: jobs sharing a stack hash (same floorplan + config
- * keys, i.e. the same RC network) seed their steady CG solve from
- * the most recent completed neighbor's temperature-rise vector.
+ * Shared models: jobs with the same stack (same floorplan + config
+ * keys, i.e. the same RC network) share one assembled StackModel
+ * when the plan holds two or more of them, instead of each job
+ * assembling its own; the model lives until the stack's last pending
+ * job finishes. Fabric workers announce no stacks and assemble per
+ * job.
+ *
+ * Warm starts: jobs sharing a stack hash seed their steady CG solve
+ * from the most recent completed neighbor's temperature-rise vector.
  *
  * Resume: with SweepOptions::resume, previously journaled hashes are
  * skipped entirely — a re-run of a completed sweep performs zero
@@ -194,6 +200,16 @@ class JobExecutor
     JobResult run(const ScenarioSpec &spec,
                   bool allowSuperposition = false,
                   const std::string &workerLabel = "");
+
+    /**
+     * Announce that @p pendingJobs jobs of the stack @p stackKey
+     * (ScenarioSpec::stackKey()) will run through this executor. They
+     * then share one StackModel, built by the first of them and
+     * dropped once the last finishes. Jobs of stacks never announced
+     * assemble their own model.
+     */
+    void shareStackModel(const std::string &stackKey,
+                         std::size_t pendingJobs);
 
     /** Join watchdog-abandoned job threads that finish within
      *  @p budgetSeconds total; detach the rest. */

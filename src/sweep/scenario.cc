@@ -127,8 +127,8 @@ ScenarioSpec::hashHex() const
     return sweep::hashHex(hash());
 }
 
-std::uint64_t
-ScenarioSpec::stackHash() const
+std::string
+ScenarioSpec::stackKey() const
 {
     std::string out;
     for (const auto &[key, value] : values) {
@@ -139,7 +139,13 @@ ScenarioSpec::stackHash() const
         out += value;
         out += '\n';
     }
-    return fnv1a64(out);
+    return out;
+}
+
+std::uint64_t
+ScenarioSpec::stackHash() const
+{
+    return fnv1a64(stackKey());
 }
 
 ResolvedScenario

@@ -126,11 +126,15 @@ class ScenarioSpec
     std::string hashHex() const;
 
     /**
-     * Hash over the *stack-defining* subset of the settings —
-     * `floorplan` and every `config.*` key. Scenarios with equal
-     * stack hashes share an RC network topology, so a completed
-     * neighbor's temperature field is a valid CG warm start.
+     * Sorted "key=value" lines over the *stack-defining* subset of
+     * the settings — `floorplan` and every `config.*` key. Scenarios
+     * with equal stack keys resolve to the same RC network, so they
+     * can share one assembled StackModel, and a completed neighbor's
+     * temperature field is a valid CG warm start.
      */
+    std::string stackKey() const;
+
+    /** fnv1a64(stackKey()): the warm-start / impulse-cache key. */
     std::uint64_t stackHash() const;
 
     /** Validate every key and build the typed run description. */

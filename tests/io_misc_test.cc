@@ -11,6 +11,7 @@
 #include <fstream>
 #include <string>
 
+#include "base/errors.hh"
 #include "base/logging.hh"
 #include "core/config_io.hh"
 #include "core/package.hh"
@@ -56,7 +57,7 @@ TEST(FileIo, FloorplanLoadFromDisk)
 TEST(FileIo, FloorplanMissingFileIsFatal)
 {
     EXPECT_THROW(Floorplan::loadFlp("definitely_not_there.flp"),
-                 FatalError);
+                 IoError);
 }
 
 TEST(FileIo, PtraceLoadFromDisk)
@@ -71,7 +72,7 @@ TEST(FileIo, PtraceLoadFromDisk)
 TEST(FileIo, PtraceMissingFileIsFatal)
 {
     EXPECT_THROW(PowerTrace::loadPtrace("nope.ptrace", 1e-3),
-                 FatalError);
+                 IoError);
 }
 
 TEST(FileIo, ConfigLoadFromDisk)

@@ -14,11 +14,16 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "base/logging.hh"
+#include "base/rng.hh"
 #include "obs/event_trace.hh"
 #include "obs/export.hh"
 #include "obs/metrics.hh"
@@ -442,6 +447,77 @@ TEST(Export, JsonEscapeHandlesSpecials)
 {
     EXPECT_EQ(obs::jsonEscape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     EXPECT_EQ(obs::jsonEscape(std::string(1, '\x01')), "\\u0001");
+}
+
+/** The journal's number form, as printf spells it. */
+std::string
+printf17(double v)
+{
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return buf;
+}
+
+/** The telemetry number form: "%g" when it round-trips, else
+ *  "%.17g", null when not finite. */
+std::string
+printfShortest(double v)
+{
+    if (!std::isfinite(v))
+        return "null";
+    char shortBuf[40];
+    std::snprintf(shortBuf, sizeof(shortBuf), "%g", v);
+    double back = 0.0;
+    std::sscanf(shortBuf, "%lf", &back);
+    return back == v ? shortBuf : printf17(v);
+}
+
+/** Seeded random bit patterns plus the edge cases of both forms. */
+std::vector<double>
+numberCorpus()
+{
+    std::vector<double> vals = {
+        0.0, -0.0, 1.0, -1.0, 0.1, 1e-5, 1e-4, 123456.0, 1234567.0,
+        1e15, 1e16, 1e17, 1e21, 1e22, 9007199254740993.0, 2.5, 1e100,
+        std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::lowest(),
+        std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::min() / 3.0,
+        std::numeric_limits<double>::epsilon(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(),
+        -std::numeric_limits<double>::quiet_NaN(),
+    };
+    for (int i = -1100; i <= 1100; ++i)
+        vals.push_back(static_cast<double>(i)); // integers
+    SplitMix64 rng(0x6a736f6eULL);
+    for (int i = 0; i < 100000; ++i) {
+        const std::uint64_t bits = rng.next();
+        double v = 0.0;
+        std::memcpy(&v, &bits, sizeof(v));
+        vals.push_back(v); // every exponent, subnormals, NaN payloads
+        vals.push_back(rng.uniform() * 100.0); // temperature-like
+    }
+    return vals;
+}
+
+TEST(Export, JsonNumberExactMatchesPrintf17ByteForByte)
+{
+    for (const double v : numberCorpus())
+        ASSERT_EQ(obs::jsonNumberExact(v), printf17(v)) << printf17(v);
+}
+
+TEST(Export, JsonNumberMatchesShortestPrintfFormByteForByte)
+{
+    for (const double v : numberCorpus())
+        ASSERT_EQ(obs::jsonNumber(v), printfShortest(v)) << printf17(v);
+    EXPECT_EQ(obs::jsonNumber(0.1), "0.1");
+    EXPECT_EQ(obs::jsonNumber(1.0 / 3.0), "0.33333333333333331");
+    EXPECT_EQ(obs::jsonNumber(std::nan("")), "null");
+    EXPECT_EQ(obs::jsonNumber(-HUGE_VAL), "null");
 }
 
 // ---------------------------------------------------------------

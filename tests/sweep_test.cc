@@ -8,8 +8,10 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -17,7 +19,11 @@
 
 #include "base/errors.hh"
 #include "base/logging.hh"
+#include "base/units.hh"
 #include "core/simulator.hh"
+#include "core/stack_model.hh"
+#include "floorplan/presets.hh"
+#include "obs/metrics.hh"
 #include "sweep/json.hh"
 #include "sweep/plan.hh"
 #include "sweep/result_store.hh"
@@ -134,6 +140,31 @@ TEST(ScenarioHash, StackHashIgnoresPowerButTracksConfig)
     ScenarioSpec c = a;
     c.set("config.oil_velocity", "0.2");
     EXPECT_NE(a.stackHash(), c.stackHash());
+}
+
+TEST(ScenarioHash, StackKeyIsTheHashedStackString)
+{
+    ScenarioSpec a;
+    a.set("floorplan", "preset:ev6");
+    a.set("config.cooling", "oil");
+    a.set("config.oil_velocity", "0.5");
+    a.set("power.uniform", "0.5");
+    a.set("mode", "transient");
+    EXPECT_EQ(a.stackKey(),
+              "config.cooling=oil\nconfig.oil_velocity=0.5\n"
+              "floorplan=preset:ev6\n");
+    EXPECT_EQ(a.stackHash(), fnv1a64(a.stackKey()));
+
+    ScenarioSpec power = a;
+    power.set("power.uniform", "0.9");
+    EXPECT_EQ(power.stackKey(), a.stackKey());
+    ScenarioSpec velocity = a;
+    velocity.set("config.oil_velocity", "0.6");
+    EXPECT_NE(velocity.stackKey(), a.stackKey());
+    ScenarioSpec extra = a;
+    extra.set("config.model_mode", "block");
+    EXPECT_NE(extra.stackKey(), a.stackKey());
+    EXPECT_EQ(extra.stackHash(), fnv1a64(extra.stackKey()));
 }
 
 // ---------------------------------------------------------------
@@ -484,6 +515,236 @@ TEST(SweepRunner, ReportsAreWritten)
     EXPECT_EQ(root.find("schema")->text, "irtherm.sweep.v1");
     ASSERT_NE(root.find("results"), nullptr);
     EXPECT_EQ(root.find("results")->items.size(), 2u);
+}
+
+TEST(SweepRunner, MissingPtraceIsJournaledAsIo)
+{
+    const SweepPlan plan = SweepPlan::parse(
+        R"({"base": {"floorplan": "preset:ev6"},
+            "scenarios": [
+              {"name": "good-a", "power.uniform": 0.5},
+              {"name": "no-trace",
+               "ptrace": "definitely/not/there.ptrace"},
+              {"name": "good-b", "power.uniform": 0.6}]})",
+        "io");
+    SweepOptions opts;
+    opts.outDir = freshOutDir("io");
+    opts.workers = 2;
+    opts.retryBackoffSeconds = 0.0;
+    const SweepSummary sum = runSweep(plan, opts);
+    EXPECT_EQ(sum.ok, 2u);
+    EXPECT_EQ(sum.failed, 1u);
+
+    ResultStore store(opts.outDir);
+    ASSERT_EQ(store.loadJournal(), 3u);
+    for (const ScenarioSpec &job : plan.expand()) {
+        const JobResult *r = store.findResult(job.hashHex());
+        ASSERT_NE(r, nullptr) << job.displayName();
+        if (r->name == "no-trace") {
+            EXPECT_EQ(r->status, JobStatus::Failed);
+            EXPECT_EQ(r->errorClass, ErrorClass::Io) << r->error;
+            EXPECT_NE(r->error.find("cannot open"), std::string::npos)
+                << r->error;
+        } else {
+            EXPECT_EQ(r->status, JobStatus::Ok) << r->name;
+        }
+    }
+}
+
+// ---------------------------------------------------------------
+// Shared stack models
+// ---------------------------------------------------------------
+
+std::uint64_t
+counterValue(const char *name)
+{
+    return obs::MetricsRegistry::global().counter(name).value();
+}
+
+double
+liveStackModels()
+{
+    return obs::MetricsRegistry::global()
+        .gauge("sweep.stack_models.live")
+        .value();
+}
+
+/** Two stacks with 8 steady jobs each (superposed at the default
+ *  threshold) and three stacks with one job each. */
+SweepPlan
+sharedStacksPlan()
+{
+    std::string scenarios;
+    const char *const shared[] = {R"("config.cooling": "air")",
+                                  R"("config.cooling": "oil")"};
+    for (const char *stack : shared) {
+        for (int j = 0; j < 8; ++j) {
+            scenarios += std::string(scenarios.empty() ? "" : ",") +
+                         "{" + stack + ", \"power.uniform\": " +
+                         std::to_string(0.3 + 0.05 * j) + "}";
+        }
+    }
+    for (const char *v : {"0.2", "0.4", "0.8"}) {
+        scenarios += std::string(R"(,{"config.cooling": "oil", )") +
+                     R"("config.oil_velocity": )" + v +
+                     R"(, "power.uniform": 0.5})";
+    }
+    return SweepPlan::parse(
+        R"({"base": {"floorplan": "preset:ev6"}, "scenarios": [)" +
+            scenarios + "]}",
+        "shared");
+}
+
+TEST(SharedStackModels, PlanAssemblesOneModelPerStack)
+{
+    if (!obs::kMetricsEnabled)
+        GTEST_SKIP() << "instrumentation compiled out";
+    const SweepPlan plan = sharedStacksPlan();
+    ASSERT_EQ(plan.jobCount(), 19u);
+    SweepOptions opts;
+    opts.outDir = freshOutDir("shared1");
+    opts.workers = 1;
+    const std::uint64_t before = counterValue("core.stack_model.builds");
+    const SweepSummary sum = runSweep(plan, opts);
+    EXPECT_EQ(sum.ok, 19u);
+    EXPECT_EQ(counterValue("core.stack_model.builds") - before, 5u);
+}
+
+TEST(SharedStackModels, ConcurrentJobsBuildEachModelOnceAndDropIt)
+{
+    if (!obs::kMetricsEnabled)
+        GTEST_SKIP() << "instrumentation compiled out";
+    const SweepPlan plan = sharedStacksPlan();
+    SweepOptions opts;
+    opts.outDir = freshOutDir("shared4");
+    opts.workers = 4;
+    const std::uint64_t before = counterValue("core.stack_model.builds");
+    const double liveBefore = liveStackModels();
+    const SweepSummary sum = runSweep(plan, opts);
+    EXPECT_EQ(sum.ok, 19u);
+    EXPECT_EQ(counterValue("core.stack_model.builds") - before, 5u);
+    EXPECT_EQ(liveStackModels(), liveBefore);
+
+    // The model is dropped when the stack's last announced job
+    // finishes, not when the executor goes away.
+    ScenarioSpec a;
+    a.set("floorplan", "preset:ev6");
+    a.set("power.uniform", "0.5");
+    ScenarioSpec b = a;
+    b.set("power.uniform", "0.6");
+    JobExecutor executor(opts);
+    executor.shareStackModel(a.stackKey(), 2);
+    EXPECT_EQ(executor.run(a).status, JobStatus::Ok);
+    EXPECT_EQ(liveStackModels(), liveBefore + 1.0);
+    EXPECT_EQ(executor.run(b).status, JobStatus::Ok);
+    EXPECT_EQ(liveStackModels(), liveBefore);
+}
+
+TEST(SharedStackModels, FailedBuildIsNotSharedAndEachJobReportsIt)
+{
+    // Microchannel coolant needs grid mode: the stack resolves, but
+    // assembling its model throws on every attempt of every job.
+    const SweepPlan plan = SweepPlan::parse(
+        R"({"base": {"floorplan": "preset:ev6",
+                     "config.cooling": "microchannel"},
+            "axes": {"power.uniform": [0.5, 0.6, 0.7]}})",
+        "badstack");
+    SweepOptions opts;
+    opts.outDir = freshOutDir("badstack");
+    opts.workers = 3;
+    const SweepSummary sum = runSweep(plan, opts);
+    EXPECT_EQ(sum.failed, 3u);
+
+    ResultStore store(opts.outDir);
+    ASSERT_EQ(store.loadJournal(), 3u);
+    for (const ScenarioSpec &job : plan.expand()) {
+        const JobResult *r = store.findResult(job.hashHex());
+        ASSERT_NE(r, nullptr);
+        EXPECT_EQ(r->status, JobStatus::Failed);
+        EXPECT_NE(r->error.find("grid mode"), std::string::npos)
+            << r->error;
+    }
+}
+
+TEST(SharedStackModels, JobsMatchAFreshModelBitForBit)
+{
+    const SweepPlan plan = sharedStacksPlan();
+    SweepOptions opts;
+    opts.outDir = freshOutDir("sharedbits");
+    opts.workers = 4;
+    ASSERT_EQ(runSweep(plan, opts).ok, 19u);
+
+    ResultStore store(opts.outDir);
+    store.loadJournal();
+    std::map<std::string, std::size_t> jobsPerStack;
+    const std::vector<ScenarioSpec> jobs = plan.expand();
+    for (const ScenarioSpec &job : jobs)
+        ++jobsPerStack[job.stackKey()];
+    for (const ScenarioSpec &job : jobs) {
+        const JobResult *r = store.findResult(job.hashHex());
+        ASSERT_NE(r, nullptr);
+        // The same solver path the runner takes: superposed on the
+        // 8-job stacks, a cold iterative solve on the singletons.
+        const ResolvedScenario rs = job.resolve();
+        const StackModel fresh(rs.floorplan, rs.config.package,
+                               rs.config.model);
+        StackModel::SteadySolveOptions so;
+        so.maxIterations = rs.maxIterations;
+        so.tolerance = rs.tolerance;
+        so.preconditioner = rs.preconditioner;
+        so.superposition = jobsPerStack[job.stackKey()] >= 8;
+        so.stackKey = job.stackHash();
+        const std::vector<double> nodes =
+            fresh.steadyNodeTemperatures(rs.blockPowers, so);
+        const std::vector<double> cells =
+            fresh.siliconCellTemperatures(nodes);
+        EXPECT_EQ(r->peakCelsius,
+                  toCelsius(*std::max_element(cells.begin(), cells.end())));
+        EXPECT_EQ(r->minCelsius,
+                  toCelsius(*std::min_element(cells.begin(), cells.end())));
+        const std::vector<double> blocks = fresh.blockTemperatures(nodes);
+        ASSERT_EQ(r->blockCelsius.size(), blocks.size());
+        for (std::size_t b = 0; b < blocks.size(); ++b)
+            EXPECT_EQ(r->blockCelsius[b].second, toCelsius(blocks[b]))
+                << r->blockCelsius[b].first;
+    }
+}
+
+TEST(SharedStackModels, TransientJobsOnOneStackShareOneModalBasis)
+{
+    if (!obs::kMetricsEnabled)
+        GTEST_SKIP() << "instrumentation compiled out";
+    const Floorplan fp = floorplans::alphaEv6();
+    const std::string trace =
+        (std::filesystem::path(::testing::TempDir()) /
+         "irtherm_sweep_shared.ptrace")
+            .string();
+    {
+        std::ofstream out(trace);
+        for (std::size_t b = 0; b < fp.blockCount(); ++b)
+            out << fp.block(b).name
+                << (b + 1 < fp.blockCount() ? " " : "\n");
+        for (int t = 0; t < 20; ++t) {
+            for (std::size_t b = 0; b < fp.blockCount(); ++b)
+                out << 0.5 + 0.1 * ((t + b) % 3)
+                    << (b + 1 < fp.blockCount() ? " " : "\n");
+        }
+    }
+    const SweepPlan plan = SweepPlan::parse(
+        R"({"base": {"floorplan": "preset:ev6", "mode": "transient",
+                     "ptrace": ")" +
+            trace + R"("},
+            "axes": {"ptrace.sampling": [0.001, 0.002]}})",
+        "modal");
+    SweepOptions opts;
+    opts.outDir = freshOutDir("sharedmodal");
+    opts.workers = 2;
+    obs::Counter &modal =
+        obs::MetricsRegistry::global().counter("numeric.modal.builds");
+    const std::uint64_t before = modal.value();
+    const SweepSummary sum = runSweep(plan, opts);
+    EXPECT_EQ(sum.ok, 2u);
+    EXPECT_EQ(modal.value() - before, 1u);
 }
 
 } // namespace
