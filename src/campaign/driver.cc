@@ -20,7 +20,6 @@
 #include "campaign/fault_gen.hh"
 #include "fabric/http_client.hh"
 #include "fabric/result_cache.hh"
-#include "obs/event_trace.hh"
 #include "obs/export.hh"
 #include "obs/span.hh"
 #include "sweep/runner.hh"
@@ -710,8 +709,6 @@ runCampaign(const CampaignOptions &opts)
         // exactly its own phase spans next to repro.txt.
         obs::SpanRecorder::global().clear();
         obs::SpanRecorder::global().setEnabled(true);
-        obs::EventTrace::global().clear();
-        obs::EventTrace::global().setEnabled(true);
         try {
             obs::ScopedSpan cycleSpan("campaign.cycle");
             cycleSpan.attr("index", static_cast<double>(i));
@@ -744,8 +741,7 @@ runCampaign(const CampaignOptions &opts)
                 (std::filesystem::path(oc.dir) / "cycle.trace.json")
                     .string());
             trace << obs::spansToTraceJson(
-                obs::SpanRecorder::global(),
-                &obs::EventTrace::global());
+                obs::SpanRecorder::global());
             warn("campaign: cycle ", i, " FAILED (repro in ",
                  oc.dir, "/repro.txt, timeline in ", oc.dir,
                  "/cycle.trace.json)");

@@ -4,7 +4,6 @@
 
 #include "base/errors.hh"
 #include "base/logging.hh"
-#include "obs/event_trace.hh"
 #include "obs/span.hh"
 
 namespace irtherm
@@ -96,8 +95,6 @@ ThermalSimulator::initializeSteady(
     span.attr("nodes", stack.nodeCount());
     const std::vector<double> abs_temps =
         stack.steadyNodeTemperatures(block_powers);
-    IRTHERM_EVENT("core.steady_init",
-                  {"nodes", abs_temps.size()});
     const double ambient = stack.packageConfig().ambient;
     for (std::size_t i = 0; i < rise.size(); ++i)
         rise[i] = abs_temps[i] - ambient;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "base/logging.hh"
-#include "obs/event_trace.hh"
 #include "obs/metrics.hh"
 #include "obs/span.hh"
 
@@ -88,7 +87,9 @@ DtmController::step(double now, double sensed_max_temp)
     m.steps.add();
 
     obs::ScopedSpan span("dtm.decision");
-    span.attr("sim_time_s", now).attr("temp_k", sensed_max_temp);
+    span.attr("sim_time_s", now)
+        .attr("temp_k", sensed_max_temp)
+        .attr("threshold_k", cfg.triggerThreshold);
     const bool wasEngaged = engagedNow;
     const bool hot = sensed_max_temp > cfg.triggerThreshold;
     if (engagedNow) {
@@ -98,17 +99,12 @@ DtmController::step(double now, double sensed_max_temp)
             engageUntil = now + cfg.engagementDuration;
         } else if (now >= engageUntil) {
             engagedNow = false;
-            IRTHERM_EVENT("dtm.disengage", {"sim_time_s", now},
-                          {"temp_k", sensed_max_temp});
         }
     } else if (hot && cfg.action != DtmAction::None) {
         engagedNow = true;
         engageUntil = now + cfg.engagementDuration;
         ++engageCount;
         m.engagements.add();
-        IRTHERM_EVENT("dtm.engage", {"sim_time_s", now},
-                      {"temp_k", sensed_max_temp},
-                      {"threshold_k", cfg.triggerThreshold});
     }
     if (now > 0.0)
         m.dutyCycle.set(totalEngaged / now);

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "base/logging.hh"
-#include "obs/event_trace.hh"
 #include "obs/metrics.hh"
 
 namespace irtherm
@@ -74,10 +73,7 @@ SensorArray::readMax(const StackModel &model,
                      Rng &rng) const
 {
     const std::vector<double> r = read(model, node_temps, rng);
-    const double sensed = *std::max_element(r.begin(), r.end());
-    IRTHERM_EVENT("dtm.sensor.read_max", {"temp_k", sensed},
-                  {"sensors", r.size()});
-    return sensed;
+    return *std::max_element(r.begin(), r.end());
 }
 
 namespace placement

@@ -19,7 +19,6 @@
 #include "fabric/fleet.hh"
 #include "fabric/lease_table.hh"
 #include "fabric/result_cache.hh"
-#include "obs/event_trace.hh"
 #include "obs/export.hh"
 #include "obs/http_server.hh"
 #include "obs/metrics.hh"
@@ -224,7 +223,6 @@ runCoordinator(const sweep::SweepPlan &plan,
         return obs::HttpResponse{
             200, "application/json",
             traceStore.mergedTraceJson(obs::SpanRecorder::global(),
-                                       &obs::EventTrace::global(),
                                        traceId)};
     });
     server.route("/healthz", [] {
@@ -505,8 +503,7 @@ runCoordinator(const sweep::SweepPlan &plan,
         if (!trace)
             fatal("fabric: cannot write ", opts.fleetTraceOut);
         trace << traceStore.mergedTraceJson(
-            obs::SpanRecorder::global(), &obs::EventTrace::global(),
-            traceId);
+            obs::SpanRecorder::global(), traceId);
         inform("fabric: fleet trace (", out.spansMerged,
                " worker spans, trace ", traceId, ") -> ",
                opts.fleetTraceOut);

@@ -383,41 +383,38 @@ FleetTraceStore::ingestBatch(const std::string &body,
             continue;
         }
         RemoteSpan r;
-        r.id = u64At(s, "id");
-        r.parentId = u64At(s, "parent");
-        r.threadIndex = static_cast<std::uint32_t>(u64At(s, "tid"));
-        r.depth = static_cast<std::uint32_t>(u64At(s, "depth"));
+        obs::SpanRecord &span = r.span;
+        span.id = u64At(s, "id");
+        span.parentId = u64At(s, "parent");
+        span.threadIndex = static_cast<std::uint32_t>(u64At(s, "tid"));
+        span.depth = static_cast<std::uint32_t>(u64At(s, "depth"));
         if (const sweep::JsonValue *v = s.find("name")) {
             if (v->isString())
-                r.name = v->text;
+                span.name = v->text;
         }
         if (const sweep::JsonValue *v = s.find("start_s")) {
             if (v->isNumber())
-                r.startSeconds = v->number + epochDelta;
+                span.startSeconds = v->number + epochDelta;
         }
         if (const sweep::JsonValue *v = s.find("dur_s")) {
             if (v->isNumber())
-                r.durationSeconds = v->number;
+                span.durationSeconds = v->number;
         }
+        if (const sweep::JsonValue *v = s.find("instant"))
+            span.instant = v->isBool() && v->boolean;
         if (const sweep::JsonValue *attrs = s.find("attrs")) {
             if (attrs->isObject()) {
-                std::string frag;
+                // Workers ship numbers and strings (EventField);
+                // values of any other type are dropped.
                 for (const auto &[key, value] : attrs->members) {
-                    frag += ",\"" + obs::jsonEscape(key) + "\":";
                     if (value.isNumber())
-                        frag += jsonNumber(value.number);
-                    else if (value.isBool())
-                        frag += value.boolean ? "true" : "false";
+                        span.attrs.emplace_back(key, value.number);
                     else if (value.isString())
-                        frag += "\"" + obs::jsonEscape(value.text) +
-                                "\"";
-                    else
-                        frag += "null";
+                        span.attrs.emplace_back(key, value.text);
                 }
-                r.attrsJson = std::move(frag);
             }
         }
-        if (r.parentId == 0)
+        if (span.parentId == 0)
             r.ctxParent = ctxParent;
         dst.push_back(std::move(r));
         ++stored;
@@ -455,127 +452,17 @@ FleetTraceStore::size() const
     return stored;
 }
 
-namespace
-{
-
-/** One renderable trace entry (mirrors obs/export's sort rules). */
-struct TraceEntry
-{
-    double tsUs = 0.0;
-    int phaseOrder = 0; ///< M=0, E=1, B=2, i=3
-    int depthKey = 0;   ///< B: +depth, E: -depth
-    std::string json;
-};
-
-void
-appendSpanPair(std::vector<TraceEntry> &entries, int pid,
-               std::uint32_t tid, std::uint64_t id,
-               std::uint64_t parent, std::uint32_t depth,
-               const std::string &name, double startSeconds,
-               double durationSeconds, const std::string &attrsJson,
-               const std::string &rootCtx)
-{
-    const double beginUs = startSeconds * 1e6;
-    const double endUs = (startSeconds + durationSeconds) * 1e6;
-    {
-        std::ostringstream os;
-        os << "{\"ph\":\"B\",\"name\":\"" << obs::jsonEscape(name)
-           << "\",\"cat\":\"span\",\"pid\":" << pid
-           << ",\"tid\":" << tid << ",\"ts\":" << jsonNumber(beginUs)
-           << ",\"args\":{\"id\":" << id << ",\"parent\":" << parent
-           << attrsJson << rootCtx << "}}";
-        entries.push_back(
-            {beginUs, 2, static_cast<int>(depth), os.str()});
-    }
-    {
-        std::ostringstream os;
-        os << "{\"ph\":\"E\",\"name\":\"" << obs::jsonEscape(name)
-           << "\",\"cat\":\"span\",\"pid\":" << pid
-           << ",\"tid\":" << tid << ",\"ts\":" << jsonNumber(endUs)
-           << "}";
-        entries.push_back(
-            {endUs, 1, -static_cast<int>(depth), os.str()});
-    }
-}
-
-void
-appendProcessName(std::vector<TraceEntry> &entries, int pid,
-                  const std::string &name)
-{
-    std::ostringstream os;
-    os << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" << pid
-       << ",\"tid\":0,\"args\":{\"name\":\"" << obs::jsonEscape(name)
-       << "\"}}";
-    entries.push_back({0.0, 0, 0, os.str()});
-}
-
-void
-appendThreadName(std::vector<TraceEntry> &entries, int pid,
-                 std::uint32_t tid, const std::string &name)
-{
-    std::ostringstream os;
-    os << "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":" << pid
-       << ",\"tid\":" << tid << ",\"args\":{\"name\":\""
-       << obs::jsonEscape(name) << "\"}}";
-    entries.push_back({0.0, 0, 0, os.str()});
-}
-
-} // namespace
-
 std::string
 FleetTraceStore::mergedTraceJson(const obs::SpanRecorder &local,
-                                 const obs::EventTrace *overlay,
                                  const std::string &traceId) const
 {
-    std::vector<TraceEntry> entries;
+    obs::TraceEventDocument doc;
     const std::string rootCtx =
         ",\"trace\":\"" + obs::jsonEscape(traceId) + "\"";
 
     // Coordinator: pid 1, its recorder's own thread tracks.
-    appendProcessName(entries, 1, "coordinator");
-    for (const auto &[index, label] : local.threadLabels()) {
-        appendThreadName(entries, 1, index,
-                         label.empty()
-                             ? "thread " + std::to_string(index)
-                             : label);
-    }
-    for (const obs::SpanRecord &s : local.snapshot()) {
-        std::string attrs;
-        for (const obs::EventField &f : s.attrs) {
-            attrs += ",\"" + obs::jsonEscape(f.key) + "\":";
-            if (f.numeric)
-                attrs += jsonNumber(f.num);
-            else
-                attrs += "\"" + obs::jsonEscape(f.text) + "\"";
-        }
-        appendSpanPair(entries, 1, s.threadIndex, s.id, s.parentId,
-                       s.depth, s.name, s.startSeconds,
-                       s.durationSeconds, attrs,
-                       s.parentId == 0 ? rootCtx : "");
-    }
-    if (overlay != nullptr) {
-        for (const obs::TraceEvent &e : overlay->snapshot()) {
-            const double tsUs = e.wallSeconds * 1e6;
-            std::ostringstream os;
-            os << "{\"ph\":\"i\",\"s\":\"p\",\"name\":\""
-               << obs::jsonEscape(e.type)
-               << "\",\"cat\":\"event\",\"pid\":1,\"tid\":0,"
-               << "\"ts\":" << jsonNumber(tsUs) << ",\"args\":{";
-            bool first = true;
-            for (const obs::EventField &f : e.fields) {
-                if (!first)
-                    os << ",";
-                first = false;
-                os << "\"" << obs::jsonEscape(f.key) << "\":";
-                if (f.numeric)
-                    os << jsonNumber(f.num);
-                else
-                    os << "\"" << obs::jsonEscape(f.text) << "\"";
-            }
-            os << "}}";
-            entries.push_back({tsUs, 3, 0, os.str()});
-        }
-    }
+    doc.processName(1, "coordinator");
+    doc.addRecorder(1, local, rootCtx);
 
     // Workers: one pid (= one Perfetto track group) each, stable by
     // name order.
@@ -583,56 +470,30 @@ FleetTraceStore::mergedTraceJson(const obs::SpanRecorder &local,
         std::lock_guard<std::mutex> lock(mu);
         int pid = 2;
         for (const auto &[worker, list] : spans) {
-            appendProcessName(entries, pid, worker);
+            doc.processName(pid, worker);
             std::vector<std::uint32_t> seenTids;
             for (const RemoteSpan &r : list) {
-                if (std::find(seenTids.begin(), seenTids.end(),
-                              r.threadIndex) == seenTids.end()) {
-                    seenTids.push_back(r.threadIndex);
-                    appendThreadName(
-                        entries, pid, r.threadIndex,
-                        worker + " t" +
-                            std::to_string(r.threadIndex));
+                const std::uint32_t tid = r.span.threadIndex;
+                if (std::find(seenTids.begin(), seenTids.end(), tid) ==
+                    seenTids.end()) {
+                    seenTids.push_back(tid);
+                    doc.threadName(pid, tid,
+                                   worker + " t" + std::to_string(tid));
                 }
                 std::string ctx;
-                if (r.parentId == 0) {
+                if (r.span.parentId == 0) {
                     ctx = rootCtx;
                     if (r.ctxParent != 0)
                         ctx += ",\"ctx_parent\":" +
                                std::to_string(r.ctxParent);
                 }
-                appendSpanPair(entries, pid, r.threadIndex, r.id,
-                               r.parentId, r.depth, r.name,
-                               r.startSeconds, r.durationSeconds,
-                               r.attrsJson, ctx);
+                doc.add(pid, r.span, ctx);
             }
             ++pid;
         }
     }
-
-    // Same nesting-safe order as obs/export: close deepest first,
-    // open shallowest first, closes ahead of opens per timestamp.
-    std::stable_sort(entries.begin(), entries.end(),
-                     [](const TraceEntry &a, const TraceEntry &b) {
-                         if (a.tsUs != b.tsUs)
-                             return a.tsUs < b.tsUs;
-                         if (a.phaseOrder != b.phaseOrder)
-                             return a.phaseOrder < b.phaseOrder;
-                         return a.depthKey < b.depthKey;
-                     });
-
-    std::ostringstream os;
-    os << "{\"displayTimeUnit\":\"ms\",\"wall_start_unix_s\":"
-       << jsonNumber(obs::wallClockStartUnixSeconds())
-       << ",\"trace_id\":\"" << obs::jsonEscape(traceId)
-       << "\",\"traceEvents\":[";
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-        if (i > 0)
-            os << ",";
-        os << "\n" << entries[i].json;
-    }
-    os << "\n]}\n";
-    return os.str();
+    return doc.json(",\"trace_id\":\"" + obs::jsonEscape(traceId) +
+                    "\"");
 }
 
 } // namespace irtherm::fabric

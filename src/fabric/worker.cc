@@ -15,7 +15,6 @@
 #include "base/shutdown.hh"
 #include "fabric/fleet.hh"
 #include "fabric/http_client.hh"
-#include "obs/event_trace.hh"
 #include "obs/export.hh"
 #include "obs/metrics.hh"
 #include "obs/span.hh"
@@ -144,25 +143,22 @@ runWorker(const WorkerOptions &opts)
     };
 
     // Ship the recorder's new tail since the last flush to
-    // POST /spans, in batches of at most kShipBatch spans. Sealed
-    // spans only; a failed POST costs observability, never the job.
+    // POST /spans, in batches of at most kShipBatch records. Sealed
+    // spans and instants only; a failed POST costs observability,
+    // never the job.
     std::uint64_t shippedWatermark = 0;
     const auto shipSpans = [&] {
         constexpr std::size_t kShipBatch = 1024;
         auto &rec = obs::SpanRecorder::global();
         if (!rec.enabled() || !adopted.valid())
             return;
-        const std::uint64_t total = rec.recorded();
-        if (total <= shippedWatermark)
-            return;
-        const std::vector<obs::SpanRecord> snap = rec.snapshot();
-        const std::uint64_t unshipped = total - shippedWatermark;
-        const std::size_t take =
-            static_cast<std::size_t>(std::min<std::uint64_t>(
-                unshipped, snap.size()));
+        const obs::SpanRecorder::Tail tail = rec.tail(shippedWatermark);
+        shippedWatermark = tail.watermark;
         // Anything the ring already overwrote is gone.
-        sum.spansDropped += unshipped - take;
-        shippedWatermark = total;
+        sum.spansDropped += tail.overwritten;
+        const std::vector<obs::SpanRecord> &fresh = tail.records;
+        if (fresh.empty())
+            return;
         const std::string head =
             "{\"worker\":\"" + obs::jsonEscape(name) +
             "\",\"trace\":\"" + adopted.traceId +
@@ -171,13 +167,12 @@ runWorker(const WorkerOptions &opts)
             jsonNumber(obs::wallClockStartUnixSeconds()) +
             ",\"dropped\":" + std::to_string(rec.dropped()) +
             ",\"spans\":[";
-        for (std::size_t i = snap.size() - take; i < snap.size();
-             i += kShipBatch) {
+        for (std::size_t i = 0; i < fresh.size(); i += kShipBatch) {
             const std::size_t end =
-                std::min(snap.size(), i + kShipBatch);
+                std::min(fresh.size(), i + kShipBatch);
             std::string body = head;
             for (std::size_t j = i; j < end; ++j) {
-                const obs::SpanRecord &s = snap[j];
+                const obs::SpanRecord &s = fresh[j];
                 if (j != i)
                     body += ',';
                 body += "{\"id\":" + std::to_string(s.id) +
@@ -187,23 +182,11 @@ runWorker(const WorkerOptions &opts)
                         ",\"name\":\"" + obs::jsonEscape(s.name) +
                         "\",\"start_s\":" + jsonNumber(s.startSeconds) +
                         ",\"dur_s\":" + jsonNumber(s.durationSeconds);
-                if (!s.attrs.empty()) {
-                    body += ",\"attrs\":{";
-                    bool first = true;
-                    for (const obs::EventField &f : s.attrs) {
-                        if (!first)
-                            body += ',';
-                        first = false;
-                        body += "\"" + obs::jsonEscape(f.key) +
-                                "\":";
-                        if (f.numeric)
-                            body += jsonNumber(f.num);
-                        else
-                            body += "\"" + obs::jsonEscape(f.text) +
-                                    "\"";
-                    }
-                    body += "}";
-                }
+                if (s.instant)
+                    body += ",\"instant\":true";
+                if (!s.attrs.empty())
+                    body += ",\"attrs\":{" + obs::jsonMembers(s.attrs) +
+                            "}";
                 body += "}";
             }
             body += "]}";
@@ -214,7 +197,7 @@ runWorker(const WorkerOptions &opts)
                 else
                     sum.spansDropped += end - i;
             } catch (const FatalError &) {
-                sum.spansDropped += snap.size() - i;
+                sum.spansDropped += fresh.size() - i;
                 return;
             }
         }
@@ -431,17 +414,17 @@ runWorker(const WorkerOptions &opts)
         shipSpans();
     }
 
-    // Final flush: spans sealed since the last report (a died worker
-    // ships nothing — that is the point of the fault).
-    if (!sum.died)
-        shipSpans();
-
     IRTHERM_EVENT("fabric.worker.done", {"worker", name},
                   {"executed", sum.executed}, {"ok", sum.ok},
                   {"leases", sum.leases},
                   {"renewals", sum.renewals},
                   {"duplicates", sum.duplicates},
                   {"rejected", sum.rejected}, {"died", sum.died});
+    // Final flush: records sealed since the last report, this done
+    // instant included (a died worker ships nothing — that is the
+    // point of the fault).
+    if (!sum.died)
+        shipSpans();
     span.attr("executed", sum.executed).attr("leases", sum.leases);
     inform("fabric: worker '", name, "' finished: ", sum.executed,
            " executed (", sum.ok, " ok), ", sum.leases, " leases, ",

@@ -9,7 +9,6 @@
 #include "base/logging.hh"
 #include "numeric/dense_matrix.hh"
 #include "numeric/lu.hh"
-#include "obs/event_trace.hh"
 #include "obs/metrics.hh"
 #include "obs/span.hh"
 

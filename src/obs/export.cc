@@ -315,154 +315,131 @@ printMetricsSummary(std::ostream &os, const MetricsRegistry &reg)
     metricsTable(reg).print(os);
 }
 
-void
-writeTraceJsonl(std::ostream &os, const EventTrace &trace)
+std::string
+jsonMembers(const std::vector<EventField> &fields)
 {
-    // Meta header: lets a reader map the monotonic wall_s offsets
-    // (shared trace epoch) back to civil time.
-    os << "{\"schema\":\"irtherm.trace.v1\",\"wall_start_unix_s\":"
-       << jsonNumber(wallClockStartUnixSeconds()) << "}\n";
-    for (const TraceEvent &e : trace.snapshot()) {
-        os << "{\"seq\":" << e.seq
-           << ",\"wall_s\":" << jsonNumber(e.wallSeconds)
-           << ",\"type\":" << jsonString(e.type) << ",\"fields\":{";
-        bool first = true;
-        for (const EventField &f : e.fields) {
-            if (!first)
-                os << ",";
-            first = false;
-            os << jsonString(f.key) << ":";
-            if (f.numeric)
-                os << jsonNumber(f.num);
-            else
-                os << jsonString(f.text);
-        }
-        os << "}}\n";
+    std::string out;
+    for (const EventField &f : fields) {
+        if (!out.empty())
+            out += ',';
+        out += jsonString(f.key) + ":" +
+               (f.numeric ? jsonNumber(f.num) : jsonString(f.text));
     }
+    return out;
 }
-
-namespace
-{
-
-/** One trace_event entry plus its sort keys. */
-struct TraceEntry
-{
-    double tsUs = 0.0;
-    int phaseOrder = 0; ///< M=0, E=1, B=2, i=3 at equal ts
-    int depthKey = 0;   ///< B: depth asc; E: -depth (deepest first)
-    std::string json;
-};
 
 void
-appendAttrJson(std::ostringstream &os, const EventField &f)
+TraceEventDocument::processName(int pid, const std::string &name)
 {
-    os << jsonString(f.key) << ":";
-    if (f.numeric)
-        os << jsonNumber(f.num);
-    else
-        os << jsonString(f.text);
+    entries.push_back(
+        {0.0, 0, 0,
+         "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" +
+             std::to_string(pid) + ",\"tid\":0,\"args\":{\"name\":" +
+             jsonString(name) + "}}"});
 }
 
-} // namespace
+void
+TraceEventDocument::threadName(int pid, std::uint32_t tid,
+                               const std::string &name)
+{
+    entries.push_back(
+        {0.0, 0, 0,
+         "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":" +
+             std::to_string(pid) + ",\"tid\":" + std::to_string(tid) +
+             ",\"args\":{\"name\":" + jsonString(name) + "}}"});
+}
+
+void
+TraceEventDocument::add(int pid, const SpanRecord &s,
+                        const std::string &extraArgs)
+{
+    const std::string track = ",\"pid\":" + std::to_string(pid) +
+                              ",\"tid\":" +
+                              std::to_string(s.threadIndex);
+    std::string args = "\"parent\":" + std::to_string(s.parentId);
+    if (!s.attrs.empty())
+        args += "," + jsonMembers(s.attrs);
+    args += extraArgs;
+    const double beginUs = s.startSeconds * 1e6;
+    if (s.instant) {
+        entries.push_back(
+            {beginUs, 3, 0,
+             "{\"ph\":\"i\",\"s\":\"t\",\"name\":" +
+                 jsonString(s.name) + ",\"cat\":\"event\"" + track +
+                 ",\"ts\":" + jsonNumber(beginUs) + ",\"args\":{" +
+                 args + "}}"});
+        return;
+    }
+    const double endUs = (s.startSeconds + s.durationSeconds) * 1e6;
+    const int depth = static_cast<int>(s.depth);
+    entries.push_back(
+        {beginUs, 2, depth,
+         "{\"ph\":\"B\",\"name\":" + jsonString(s.name) +
+             ",\"cat\":\"span\"" + track + ",\"ts\":" +
+             jsonNumber(beginUs) + ",\"args\":{\"id\":" +
+             std::to_string(s.id) + "," + args + "}}"});
+    entries.push_back({endUs, 1, -depth,
+                       "{\"ph\":\"E\",\"name\":" + jsonString(s.name) +
+                           ",\"cat\":\"span\"" + track + ",\"ts\":" +
+                           jsonNumber(endUs) + "}"});
+}
+
+void
+TraceEventDocument::addRecorder(int pid, const SpanRecorder &rec,
+                                const std::string &rootArgs)
+{
+    // chrome://tracing keys rows on (pid, tid); unnamed threads fall
+    // back to "thread <i>".
+    for (const auto &[index, label] : rec.threadLabels()) {
+        threadName(pid, index,
+                   label.empty() ? "thread " + std::to_string(index)
+                                 : label);
+    }
+    for (const SpanRecord &s : rec.snapshot())
+        add(pid, s, s.parentId == 0 ? rootArgs : "");
+}
 
 std::string
-spansToTraceJson(const SpanRecorder &rec, const EventTrace *overlay)
+TraceEventDocument::json(const std::string &topLevel) const
 {
-    std::vector<TraceEntry> entries;
-
-    // Thread-name metadata. chrome://tracing keys rows on (pid,
-    // tid); unnamed threads fall back to "thread <i>".
-    for (const auto &[index, label] : rec.threadLabels()) {
-        std::ostringstream os;
-        const std::string name =
-            label.empty() ? "thread " + std::to_string(index) : label;
-        os << "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":1"
-           << ",\"tid\":" << index << ",\"args\":{\"name\":"
-           << jsonString(name) << "}}";
-        entries.push_back({0.0, 0, 0, os.str()});
-    }
-
-    for (const SpanRecord &s : rec.snapshot()) {
-        const double beginUs = s.startSeconds * 1e6;
-        const double endUs =
-            (s.startSeconds + s.durationSeconds) * 1e6;
-        {
-            std::ostringstream os;
-            os << "{\"ph\":\"B\",\"name\":" << jsonString(s.name)
-               << ",\"cat\":\"span\",\"pid\":1,\"tid\":"
-               << s.threadIndex << ",\"ts\":" << jsonNumber(beginUs)
-               << ",\"args\":{\"id\":" << s.id
-               << ",\"parent\":" << s.parentId;
-            for (const EventField &f : s.attrs) {
-                os << ",";
-                appendAttrJson(os, f);
-            }
-            os << "}}";
-            entries.push_back({beginUs, 2,
-                               static_cast<int>(s.depth), os.str()});
-        }
-        {
-            std::ostringstream os;
-            os << "{\"ph\":\"E\",\"name\":" << jsonString(s.name)
-               << ",\"cat\":\"span\",\"pid\":1,\"tid\":"
-               << s.threadIndex << ",\"ts\":" << jsonNumber(endUs)
-               << "}";
-            entries.push_back({endUs, 1,
-                               -static_cast<int>(s.depth), os.str()});
-        }
-    }
-
-    if (overlay != nullptr) {
-        for (const TraceEvent &e : overlay->snapshot()) {
-            const double tsUs = e.wallSeconds * 1e6;
-            std::ostringstream os;
-            // Process-scoped instants: events carry no thread id.
-            os << "{\"ph\":\"i\",\"s\":\"p\",\"name\":"
-               << jsonString(e.type)
-               << ",\"cat\":\"event\",\"pid\":1,\"tid\":0,\"ts\":"
-               << jsonNumber(tsUs) << ",\"args\":{";
-            bool first = true;
-            for (const EventField &f : e.fields) {
-                if (!first)
-                    os << ",";
-                first = false;
-                appendAttrJson(os, f);
-            }
-            os << "}}";
-            entries.push_back({tsUs, 3, 0, os.str()});
-        }
-    }
-
-    // Duration events must nest: at a shared timestamp, close the
-    // deepest span first and open the shallowest first, with all
-    // closes ahead of any opens.
-    std::stable_sort(entries.begin(), entries.end(),
-                     [](const TraceEntry &a, const TraceEntry &b) {
-                         if (a.tsUs != b.tsUs)
-                             return a.tsUs < b.tsUs;
-                         if (a.phaseOrder != b.phaseOrder)
-                             return a.phaseOrder < b.phaseOrder;
-                         return a.depthKey < b.depthKey;
+    std::vector<const Entry *> order;
+    order.reserve(entries.size());
+    for (const Entry &e : entries)
+        order.push_back(&e);
+    std::stable_sort(order.begin(), order.end(),
+                     [](const Entry *a, const Entry *b) {
+                         if (a->tsUs != b->tsUs)
+                             return a->tsUs < b->tsUs;
+                         if (a->phaseOrder != b->phaseOrder)
+                             return a->phaseOrder < b->phaseOrder;
+                         return a->depthKey < b->depthKey;
                      });
 
     std::ostringstream os;
     os << "{\"displayTimeUnit\":\"ms\",\"wall_start_unix_s\":"
-       << jsonNumber(wallClockStartUnixSeconds())
+       << jsonNumber(wallClockStartUnixSeconds()) << topLevel
        << ",\"traceEvents\":[";
-    for (std::size_t i = 0; i < entries.size(); ++i) {
+    for (std::size_t i = 0; i < order.size(); ++i) {
         if (i > 0)
             os << ",";
-        os << "\n" << entries[i].json;
+        os << "\n" << order[i]->json;
     }
     os << "\n]}\n";
     return os.str();
 }
 
-void
-writeSpansTraceJson(std::ostream &os, const SpanRecorder &rec,
-                    const EventTrace *overlay)
+std::string
+spansToTraceJson(const SpanRecorder &rec)
 {
-    os << spansToTraceJson(rec, overlay);
+    TraceEventDocument doc;
+    doc.addRecorder(1, rec);
+    return doc.json();
+}
+
+void
+writeSpansTraceJson(std::ostream &os, const SpanRecorder &rec)
+{
+    os << spansToTraceJson(rec);
 }
 
 namespace

@@ -1,5 +1,7 @@
 #include "obs/span.hh"
 
+#include <algorithm>
+
 #include "base/logging.hh"
 
 namespace irtherm::obs
@@ -92,6 +94,28 @@ SpanRecorder::record(SpanRecord rec)
     ++total;
 }
 
+void
+SpanRecorder::recordInstant(std::string name,
+                            std::vector<EventField> attrs)
+{
+    SpanRecorder &g = global();
+    if (!g.enabled())
+        return;
+    SpanRecord rec;
+    rec.instant = true;
+    rec.name = std::move(name);
+    rec.attrs = std::move(attrs);
+    rec.startSeconds = monotonicSeconds();
+    ThreadSlot &slot = threadSlot();
+    rec.threadIndex = slot.index;
+    {
+        std::lock_guard<std::mutex> lock(slot.mu);
+        rec.parentId = slot.frames.empty() ? 0 : slot.frames.back().id;
+        rec.depth = static_cast<std::uint32_t>(slot.frames.size());
+    }
+    g.record(std::move(rec));
+}
+
 std::size_t
 SpanRecorder::size() const
 {
@@ -116,12 +140,25 @@ SpanRecorder::dropped() const
 std::vector<SpanRecord>
 SpanRecorder::snapshot() const
 {
+    return tail(0).records;
+}
+
+SpanRecorder::Tail
+SpanRecorder::tail(std::uint64_t watermark) const
+{
     std::lock_guard<std::mutex> lock(mu);
-    std::vector<SpanRecord> out;
-    out.reserve(count);
-    const std::size_t first = (head + cap - count) % cap;
-    for (std::size_t i = 0; i < count; ++i)
-        out.push_back(ring[(first + i) % cap]);
+    Tail out;
+    out.watermark = total;
+    // A watermark from before a clear() counts from zero again.
+    const std::uint64_t fresh =
+        total - (watermark <= total ? watermark : 0);
+    const std::size_t take = static_cast<std::size_t>(
+        std::min<std::uint64_t>(fresh, count));
+    out.overwritten = fresh - take;
+    out.records.reserve(take);
+    const std::size_t first = (head + cap - take) % cap;
+    for (std::size_t i = 0; i < take; ++i)
+        out.records.push_back(ring[(first + i) % cap]);
     return out;
 }
 

@@ -1,27 +1,30 @@
 /**
  * @file
- * Hierarchical causal spans: RAII-scoped timed regions with a
- * thread-local parent stack, per-span key/value attributes, and a
- * bounded recorder exporting Chrome/Perfetto trace_event JSON.
+ * Hierarchical causal spans and instants: RAII-scoped timed regions
+ * with a thread-local parent stack, per-span key/value attributes,
+ * zero-duration instants for state changes, and a bounded recorder
+ * exported as Chrome/Perfetto trace_event JSON (obs/export.hh).
  *
- * Where the MetricsRegistry answers "how many / how long in total"
- * and the EventTrace answers "what state changes happened", spans
- * answer *why is this slow*: each ScopedSpan nests under whatever
- * span is open on the same thread, so a sweep job's timeline reads
- * sweep.job -> core.steady_solve -> solve.tier -> numeric.cg with
- * the fallback escalations visible as siblings.
+ * Where the MetricsRegistry answers "how many / how long in total",
+ * spans answer *why is this slow*: each ScopedSpan nests under
+ * whatever span is open on the same thread, so a sweep job's
+ * timeline reads sweep.job -> core.steady_solve -> solve.tier ->
+ * numeric.cg with the fallback escalations visible as siblings.
+ * Instants (IRTHERM_EVENT) mark facts no span holds — a retry, a
+ * lease expiry, a campaign kill — on the same thread track, under
+ * the innermost open span.
  *
  * Recording is off by default (SpanRecorder::global().setEnabled).
- * A disabled ScopedSpan costs one relaxed atomic load; under
- * IRTHERM_METRICS_ENABLED=0 the class body compiles to nothing, so
- * instrumented hot paths reference no telemetry symbols at all —
- * the same compile-out guarantee the event macro gives.
+ * A disabled ScopedSpan or IRTHERM_EVENT costs one relaxed atomic
+ * load; under IRTHERM_METRICS_ENABLED=0 both compile to nothing, so
+ * instrumented hot paths reference no telemetry symbols at all.
  *
- * Completed spans land in a bounded ring (oldest overwritten,
- * dropped count maintained). Live spans are additionally tracked
- * per thread so the status endpoint can report each worker's
- * current span path ("sweep.job/core.steady_solve/numeric.cg")
- * while the job is still running.
+ * Completed spans and instants share one bounded ring (oldest
+ * overwritten, dropped count maintained). Live spans are
+ * additionally tracked per thread so the status endpoint can report
+ * each worker's current span path
+ * ("sweep.job/core.steady_solve/numeric.cg") while the job is still
+ * running.
  */
 
 #ifndef IRTHERM_OBS_SPAN_HH
@@ -34,28 +37,54 @@
 #include <utility>
 #include <vector>
 
-#include "obs/event_trace.hh" // EventField, kMetricsEnabled
+#include "obs/metrics.hh" // kMetricsEnabled
 #include "obs/trace_clock.hh"
 
 namespace irtherm::obs
 {
 
-/** One completed span, as stored by the recorder. */
+/** One key/value attribute: either numeric or text. */
+struct EventField
+{
+    EventField(std::string k, double v)
+        : key(std::move(k)), num(v), numeric(true)
+    {}
+    EventField(std::string k, int v)
+        : EventField(std::move(k), static_cast<double>(v))
+    {}
+    EventField(std::string k, std::size_t v)
+        : EventField(std::move(k), static_cast<double>(v))
+    {}
+    EventField(std::string k, std::string v)
+        : key(std::move(k)), text(std::move(v)), numeric(false)
+    {}
+    EventField(std::string k, const char *v)
+        : EventField(std::move(k), std::string(v))
+    {}
+
+    std::string key;
+    std::string text;
+    double num = 0.0;
+    bool numeric = true;
+};
+
+/** One completed span or instant, as stored by the recorder. */
 struct SpanRecord
 {
-    std::uint64_t id = 0;       ///< process-unique, starts at 1
+    std::uint64_t id = 0;       ///< process-unique from 1; instants 0
     std::uint64_t parentId = 0; ///< 0 = root (no enclosing span)
     std::uint32_t threadIndex = 0; ///< recorder-assigned dense id
     std::uint32_t depth = 0;       ///< nesting depth at open (root 0)
     std::string name;              ///< e.g. "core.steady_solve"
     double startSeconds = 0.0;     ///< from traceEpoch()
-    double durationSeconds = 0.0;
+    double durationSeconds = 0.0;  ///< 0 for an instant
+    bool instant = false;          ///< a point in time, not a region
     std::vector<EventField> attrs;
 };
 
 /**
- * Bounded, thread-safe buffer of completed spans plus a registry of
- * live (still-open) per-thread span stacks.
+ * Bounded, thread-safe buffer of completed spans and instants plus a
+ * registry of live (still-open) per-thread span stacks.
  */
 class SpanRecorder
 {
@@ -77,20 +106,45 @@ class SpanRecorder
     void setCapacity(std::size_t capacity);
     std::size_t capacity() const;
 
-    /** Append one completed span. No-op while disabled. */
+    /** Append one completed span or instant. No-op while disabled. */
     void record(SpanRecord rec);
 
-    /** Spans currently buffered (<= capacity). */
+    /**
+     * Record a zero-duration instant on the global recorder, on the
+     * calling thread under its innermost open span. No-op while
+     * disabled; prefer IRTHERM_EVENT, which skips building @p attrs
+     * then.
+     */
+    static void recordInstant(std::string name,
+                              std::vector<EventField> attrs);
+
+    /** Records currently buffered (<= capacity). */
     std::size_t size() const;
 
-    /** Total spans ever recorded (including since-overwritten). */
+    /** Total records ever recorded (including since-overwritten). */
     std::uint64_t recorded() const;
 
-    /** Spans overwritten because the ring was full. */
+    /** Records overwritten because the ring was full. */
     std::uint64_t dropped() const;
 
-    /** Copy of the buffered spans, oldest-recorded first. */
+    /** Copy of the buffered records, oldest-recorded first. */
     std::vector<SpanRecord> snapshot() const;
+
+    /** What tail() found past a caller-held watermark. */
+    struct Tail
+    {
+        std::vector<SpanRecord> records; ///< still buffered, oldest first
+        std::uint64_t overwritten = 0;   ///< recorded, but already gone
+        std::uint64_t watermark = 0;     ///< recorded(); the next call's
+    };
+
+    /**
+     * The records recorded after the first @p watermark ones, taken
+     * under one lock, so a record landing meanwhile is neither lost
+     * nor returned twice by the next call. Pass 0 the first time and
+     * the returned watermark after that.
+     */
+    Tail tail(std::uint64_t watermark) const;
 
     /** Drop buffered spans and zero the counters. Thread labels and
      *  live stacks are untouched (they belong to their threads). */
@@ -210,5 +264,23 @@ class ScopedSpan
 #endif // IRTHERM_METRICS_ENABLED
 
 } // namespace irtherm::obs
+
+#if IRTHERM_METRICS_ENABLED
+/**
+ * Record an instant on the global span recorder iff it is enabled.
+ * Usage: IRTHERM_EVENT("resilience.retry", {"name", job},
+ *                      {"attempt", n});
+ */
+#define IRTHERM_EVENT(name, ...)                                        \
+    do {                                                                \
+        if (::irtherm::obs::SpanRecorder::global().enabled())           \
+            ::irtherm::obs::SpanRecorder::recordInstant(                \
+                (name), {__VA_ARGS__});                                 \
+    } while (0)
+#else
+#define IRTHERM_EVENT(name, ...)                                        \
+    do {                                                                \
+    } while (0)
+#endif
 
 #endif // IRTHERM_OBS_SPAN_HH

@@ -24,7 +24,6 @@
 #include "base/units.hh"
 #include "core/simulator.hh"
 #include "core/stack_model.hh"
-#include "obs/event_trace.hh"
 #include "obs/export.hh"
 #include "obs/http_server.hh"
 #include "obs/metrics.hh"
@@ -377,6 +376,7 @@ runOneJob(const ScenarioSpec &spec, const SweepOptions &opts,
     r.resources.solverIterations = r.cgIterations;
     r.resources.fallbackEscalations = r.fallbackTier;
     jobSpan.attr("status", jobStatusName(r.status))
+        .attr("peak_c", r.peakCelsius)
         .attr("cpu_s", r.resources.cpuSeconds)
         .attr("cg_iterations", r.cgIterations)
         .attr("fallback_tier", r.fallbackTier);
@@ -801,11 +801,6 @@ runSweep(const SweepPlan &plan, const SweepOptions &opts)
             board.jobFinished(r.status);
             executed.fetch_add(1, std::memory_order_relaxed);
             reg.counter("sweep.jobs.executed").add();
-            IRTHERM_EVENT("sweep.job.done", {"name", r.name},
-                          {"hash", r.hash},
-                          {"status", jobStatusName(r.status)},
-                          {"peak_c", r.peakCelsius},
-                          {"wall_s", r.wallSeconds});
             std::lock_guard<std::mutex> lock(sumMu);
             switch (r.status) {
               case JobStatus::Ok:
@@ -883,17 +878,14 @@ runSweep(const SweepPlan &plan, const SweepOptions &opts)
         writeSweepJson(json, plan, jobs, store, sum);
     }
 
-    IRTHERM_EVENT("sweep.done", {"plan", plan.name()},
-                  {"executed", sum.executed}, {"ok", sum.ok},
-                  {"failed", sum.failed}, {"timeout", sum.timedOut},
-                  {"hung", sum.hung}, {"retried", sum.retried},
-                  {"fallbacks", sum.fallbacks},
-                  {"cached", sum.cached});
     batchSpan.attr("executed", sum.executed)
         .attr("ok", sum.ok)
         .attr("failed", sum.failed)
         .attr("timeout", sum.timedOut)
-        .attr("hung", sum.hung);
+        .attr("hung", sum.hung)
+        .attr("retried", sum.retried)
+        .attr("fallbacks", sum.fallbacks)
+        .attr("cached", sum.cached);
     return sum;
 }
 

@@ -32,6 +32,7 @@
 #include "base/fault_injection.hh"
 #include "base/shutdown.hh"
 #include "fabric/coordinator.hh"
+#include "fabric/fleet.hh"
 #include "fabric/http_client.hh"
 #include "fabric/lease_table.hh"
 #include "fabric/result_cache.hh"
@@ -39,6 +40,7 @@
 #include "obs/http_server.hh"
 #include "obs/trace_clock.hh"
 #include "obs/trace_context.hh"
+#include "sweep/json.hh"
 #include "sweep/plan.hh"
 #include "sweep/result_store.hh"
 #include "sweep/runner.hh"
@@ -419,6 +421,56 @@ TEST(ResultCache, RoundTripsOkResultsAndEvictsCorruptEntries)
     EXPECT_FALSE(cache.lookup("2222222222222222", out));
     EXPECT_FALSE(std::filesystem::exists(
         std::filesystem::path(dir) / "2222222222222222.json"));
+}
+
+// ---------------------------------------------------------------
+// Fleet trace store
+// ---------------------------------------------------------------
+
+TEST(FleetTraceStore, ShippedInstantRendersOnItsWorkersPid)
+{
+    // One worker batch: a root span and an instant recorded inside it.
+    const std::string batch =
+        "{\"worker\":\"w1\",\"lease_span\":\"00000000000000aa\","
+        "\"wall_epoch_unix_s\":" +
+        std::to_string(obs::wallClockStartUnixSeconds()) +
+        ",\"spans\":[{\"id\":7,\"parent\":0,\"tid\":2,\"depth\":0,"
+        "\"name\":\"sweep.job\",\"start_s\":0.001,\"dur_s\":0.002},"
+        "{\"id\":0,\"parent\":7,\"tid\":2,\"depth\":1,"
+        "\"name\":\"fabric.worker.lease\",\"start_s\":0.0015,"
+        "\"dur_s\":0,\"instant\":true,"
+        "\"attrs\":{\"jobs\":2,\"token\":\"t-1\"}}]}";
+    FleetTraceStore store;
+    ASSERT_EQ(store.ingestBatch(batch, obs::wallClockStartUnixSeconds()),
+              2u);
+    const obs::SpanRecorder coordinator(4);
+    const std::string doc = store.mergedTraceJson(coordinator, "abc");
+    const sweep::JsonValue root = sweep::parseJson(doc, "fleet trace");
+
+    double workerPid = -1.0;
+    std::vector<const sweep::JsonValue *> instants;
+    std::size_t begins = 0;
+    for (const sweep::JsonValue &e : root.at("traceEvents").items) {
+        const std::string ph = e.at("ph").text;
+        if (ph == "M" && e.at("name").text == "process_name" &&
+            e.at("args").at("name").text == "w1")
+            workerPid = e.at("pid").number;
+        if (ph == "i")
+            instants.push_back(&e);
+        if (ph == "B")
+            ++begins;
+    }
+    ASSERT_GT(workerPid, 1.0) << doc;
+    EXPECT_EQ(begins, 1u) << "an instant must not render as a span";
+    ASSERT_EQ(instants.size(), 1u) << doc;
+    const sweep::JsonValue &i = *instants[0];
+    EXPECT_EQ(i.at("name").text, "fabric.worker.lease");
+    EXPECT_EQ(i.at("s").text, "t");
+    EXPECT_EQ(i.at("pid").number, workerPid);
+    EXPECT_EQ(i.at("tid").number, 2.0);
+    EXPECT_EQ(i.at("args").at("parent").number, 7.0);
+    EXPECT_EQ(i.at("args").at("jobs").number, 2.0);
+    EXPECT_EQ(i.at("args").at("token").text, "t-1");
 }
 
 // ---------------------------------------------------------------

@@ -1,8 +1,8 @@
 /**
  * @file
  * Observability layer: metrics registry semantics, histogram
- * bucketing, JSON/CSV/JSONL export, event-trace ring behaviour, and
- * the pluggable logging sink.
+ * bucketing, JSON/CSV export, the span recorder's ring, tails and
+ * instants, and the pluggable logging sink.
  *
  * Value assertions are skipped when the instrumentation is compiled
  * out (IRTHERM_ENABLE_METRICS=OFF) — update methods are no-ops then
@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -24,9 +25,9 @@
 
 #include "base/logging.hh"
 #include "base/rng.hh"
-#include "obs/event_trace.hh"
 #include "obs/export.hh"
 #include "obs/metrics.hh"
+#include "obs/span.hh"
 
 using namespace irtherm;
 
@@ -521,112 +522,144 @@ TEST(Export, JsonNumberMatchesShortestPrintfFormByteForByte)
 }
 
 // ---------------------------------------------------------------
-// EventTrace
+// SpanRecorder: ring, capacity, tails, instants
 // ---------------------------------------------------------------
 
-TEST(EventTrace, DisabledTraceRecordsNothing)
+namespace
 {
-    obs::EventTrace trace(8);
-    trace.record("t.event", {{"k", 1.0}});
-    EXPECT_EQ(trace.size(), 0u);
-    EXPECT_EQ(trace.recorded(), 0u);
+
+obs::SpanRecord
+numbered(int i)
+{
+    obs::SpanRecord r;
+    r.id = static_cast<std::uint64_t>(i) + 1;
+    r.name = "t.r" + std::to_string(i);
+    return r;
 }
 
-TEST(EventTrace, RingOverwritesOldestAndCountsDrops)
+/** Restores the global recorder to off, empty, default capacity. */
+struct GlobalRecorderGuard
 {
-    if (!obs::kMetricsEnabled)
-        GTEST_SKIP() << "instrumentation compiled out";
-    obs::EventTrace trace(4);
-    trace.setEnabled(true);
-    for (int i = 0; i < 6; ++i)
-        trace.record("t.tick", {{"i", i}});
-    EXPECT_EQ(trace.size(), 4u);
-    EXPECT_EQ(trace.recorded(), 6u);
-    EXPECT_EQ(trace.dropped(), 2u);
-
-    const auto events = trace.snapshot();
-    ASSERT_EQ(events.size(), 4u);
-    // Oldest-first and monotonically sequenced.
-    for (std::size_t i = 1; i < events.size(); ++i)
-        EXPECT_LT(events[i - 1].seq, events[i].seq);
-    EXPECT_DOUBLE_EQ(events.front().fields.at(0).num, 2.0);
-    EXPECT_DOUBLE_EQ(events.back().fields.at(0).num, 5.0);
-}
-
-TEST(EventTrace, SetCapacityDiscardsAndClearZeroes)
-{
-    if (!obs::kMetricsEnabled)
-        GTEST_SKIP() << "instrumentation compiled out";
-    obs::EventTrace trace(4);
-    trace.setEnabled(true);
-    trace.record("t.a", {});
-    trace.setCapacity(2);
-    EXPECT_EQ(trace.capacity(), 2u);
-    EXPECT_EQ(trace.size(), 0u);
-
-    trace.record("t.b", {});
-    trace.clear();
-    EXPECT_EQ(trace.size(), 0u);
-    EXPECT_EQ(trace.recorded(), 0u);
-    EXPECT_EQ(trace.dropped(), 0u);
-}
-
-TEST(EventTrace, ZeroCapacityIsFatal)
-{
-    EXPECT_THROW(obs::EventTrace trace(0), FatalError);
-}
-
-TEST(EventTrace, JsonlLinesAreValidJson)
-{
-    if (!obs::kMetricsEnabled)
-        GTEST_SKIP() << "instrumentation compiled out";
-    obs::EventTrace trace(8);
-    trace.setEnabled(true);
-    trace.record("t.engage",
-                 {{"temp_k", 374.5}, {"note", "line\nbreak"}});
-    trace.record("t.disengage", {{"temp_k", 371.0}});
-
-    std::ostringstream os;
-    obs::writeTraceJsonl(os, trace);
-    std::istringstream is(os.str());
-    std::string line;
-    std::size_t lines = 0;
-    while (std::getline(is, line)) {
-        ++lines;
-        EXPECT_TRUE(JsonChecker::valid(line)) << line;
-        if (lines == 1) {
-            // Meta header: schema marker plus the wall-clock origin
-            // of the shared monotonic timeline.
-            EXPECT_NE(line.find("\"irtherm.trace.v1\""),
-                      std::string::npos);
-            EXPECT_NE(line.find("\"wall_start_unix_s\""),
-                      std::string::npos);
-            continue;
-        }
-        EXPECT_NE(line.find("\"seq\""), std::string::npos);
-        EXPECT_NE(line.find("\"wall_s\""), std::string::npos);
-        EXPECT_NE(line.find("\"type\""), std::string::npos);
-        EXPECT_NE(line.find("\"fields\""), std::string::npos);
+    ~GlobalRecorderGuard()
+    {
+        obs::SpanRecorder &g = obs::SpanRecorder::global();
+        g.setEnabled(false);
+        g.setCapacity(obs::SpanRecorder::kDefaultCapacity);
+        g.clear();
     }
-    EXPECT_EQ(lines, 3u);
-    EXPECT_NE(os.str().find("line\\nbreak"), std::string::npos);
-}
+};
 
-TEST(EventTrace, MacroRecordsOnlyWhileGlobalTraceEnabled)
+} // namespace
+
+TEST(SpanRecorder, SetCapacityDiscardsAndClearZeroes)
 {
     if (!obs::kMetricsEnabled)
         GTEST_SKIP() << "instrumentation compiled out";
-    obs::EventTrace &g = obs::EventTrace::global();
+    obs::SpanRecorder rec(4);
+    rec.setEnabled(true);
+    rec.record(numbered(0));
+    rec.setCapacity(2);
+    EXPECT_EQ(rec.capacity(), 2u);
+    EXPECT_EQ(rec.size(), 0u);
+
+    for (int i = 1; i < 4; ++i)
+        rec.record(numbered(i));
+    rec.clear();
+    EXPECT_EQ(rec.size(), 0u);
+    EXPECT_EQ(rec.recorded(), 0u);
+    EXPECT_EQ(rec.dropped(), 0u);
+}
+
+TEST(SpanRecorder, ZeroCapacityIsFatal)
+{
+    EXPECT_THROW(obs::SpanRecorder rec(0), FatalError);
+    obs::SpanRecorder rec(1);
+    EXPECT_THROW(rec.setCapacity(0), FatalError);
+}
+
+TEST(SpanRecorder, TailReturnsExactlyTheRecordsPastTheWatermark)
+{
+    if (!obs::kMetricsEnabled)
+        GTEST_SKIP() << "instrumentation compiled out";
+    // (k recorded before the first tail, m after it, ring capacity):
+    // no overflow, overflow of only old records, and overflow into
+    // the new ones.
+    struct Case
+    {
+        int k;
+        int m;
+        std::size_t cap;
+    };
+    for (const Case c : {Case{3, 4, 16}, Case{5, 3, 4}, Case{2, 7, 4},
+                         Case{0, 0, 4}}) {
+        SCOPED_TRACE("k=" + std::to_string(c.k) +
+                     " m=" + std::to_string(c.m) +
+                     " cap=" + std::to_string(c.cap));
+        obs::SpanRecorder rec(c.cap);
+        rec.setEnabled(true);
+        for (int i = 0; i < c.k; ++i)
+            rec.record(numbered(i));
+        const obs::SpanRecorder::Tail first = rec.tail(0);
+        EXPECT_EQ(first.watermark, static_cast<std::uint64_t>(c.k));
+        EXPECT_EQ(first.records.size(),
+                  std::min<std::size_t>(c.k, c.cap));
+        EXPECT_EQ(first.overwritten, c.k - first.records.size());
+
+        for (int i = c.k; i < c.k + c.m; ++i)
+            rec.record(numbered(i));
+        const obs::SpanRecorder::Tail next = rec.tail(first.watermark);
+        const std::size_t kept = std::min<std::size_t>(c.m, c.cap);
+        EXPECT_EQ(next.watermark,
+                  static_cast<std::uint64_t>(c.k + c.m));
+        EXPECT_EQ(next.overwritten, c.m - kept);
+        ASSERT_EQ(next.records.size(), kept);
+        // The newest `kept` of the m new records, oldest first.
+        for (std::size_t j = 0; j < kept; ++j) {
+            EXPECT_EQ(next.records[j].name,
+                      "t.r" + std::to_string(c.k + c.m - kept + j));
+        }
+        // Nothing new: an empty tail at the same watermark.
+        const obs::SpanRecorder::Tail idle = rec.tail(next.watermark);
+        EXPECT_TRUE(idle.records.empty());
+        EXPECT_EQ(idle.overwritten, 0u);
+        EXPECT_EQ(idle.watermark, next.watermark);
+    }
+}
+
+TEST(SpanRecorder, DisabledRecorderRecordsNoInstant)
+{
+    GlobalRecorderGuard guard;
+    obs::SpanRecorder &g = obs::SpanRecorder::global();
+    g.clear();
+    g.setEnabled(false);
+    IRTHERM_EVENT("t.dark", {"x", 1});
+    obs::SpanRecorder::recordInstant("t.dark_direct", {{"x", 2}});
+    EXPECT_EQ(g.size(), 0u);
+    EXPECT_EQ(g.recorded(), 0u);
+}
+
+TEST(SpanRecorder, EventMacroRecordsAnInstantOnlyWhileEnabled)
+{
+    if (!obs::kMetricsEnabled)
+        GTEST_SKIP() << "instrumentation compiled out";
+    GlobalRecorderGuard guard;
+    obs::SpanRecorder &g = obs::SpanRecorder::global();
     g.clear();
     IRTHERM_EVENT("t.off", {"x", 1});
     EXPECT_EQ(g.size(), 0u);
 
     g.setEnabled(true);
-    IRTHERM_EVENT("t.on", {"x", 2});
+    IRTHERM_EVENT("t.on", {"x", 2}, {"note", "line\nbreak"});
     g.setEnabled(false);
-    ASSERT_EQ(g.size(), 1u);
-    EXPECT_EQ(g.snapshot().front().type, "t.on");
-    g.clear();
+    const std::vector<obs::SpanRecord> recs = g.snapshot();
+    ASSERT_EQ(recs.size(), 1u);
+    EXPECT_EQ(recs[0].name, "t.on");
+    EXPECT_TRUE(recs[0].instant);
+    EXPECT_EQ(recs[0].durationSeconds, 0.0);
+    EXPECT_EQ(recs[0].parentId, 0u);
+    ASSERT_EQ(recs[0].attrs.size(), 2u);
+    EXPECT_DOUBLE_EQ(recs[0].attrs[0].num, 2.0);
+    EXPECT_EQ(recs[0].attrs[1].text, "line\nbreak");
 }
 
 // ---------------------------------------------------------------

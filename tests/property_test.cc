@@ -230,18 +230,30 @@ TEST_P(DirectionProperty, DownstreamIsHotterThanUpstream)
 
 TEST_P(DirectionProperty, MirrorSymmetryOfOpposedFlows)
 {
-    // A source at position x under left-to-right flow must see the
-    // same temperature as the mirrored source under right-to-left.
+    // A source under one flow must see the same temperature as the
+    // mirrored source under the opposite flow: the x-mirror for
+    // horizontal flows, the y-mirror for vertical ones.
     const FlowDirection dir = GetParam();
-    if (dir == FlowDirection::BottomToTop ||
-        dir == FlowDirection::TopToBottom) {
-        GTEST_SKIP() << "x-mirror applies to horizontal flows";
+    FlowDirection opposite = FlowDirection::LeftToRight;
+    switch (dir) {
+      case FlowDirection::LeftToRight:
+        opposite = FlowDirection::RightToLeft;
+        break;
+      case FlowDirection::RightToLeft:
+        opposite = FlowDirection::LeftToRight;
+        break;
+      case FlowDirection::BottomToTop:
+        opposite = FlowDirection::TopToBottom;
+        break;
+      case FlowDirection::TopToBottom:
+        opposite = FlowDirection::BottomToTop;
+        break;
     }
+    const bool vertical = dir == FlowDirection::BottomToTop ||
+                          dir == FlowDirection::TopToBottom;
     const Floorplan fp = floorplans::uniformChip(4, 0.02, 0.02);
-    const FlowDirection opposite =
-        dir == FlowDirection::LeftToRight
-            ? FlowDirection::RightToLeft
-            : FlowDirection::LeftToRight;
+    const std::size_t source = fp.blockIndex(vertical ? "u2_0" : "u0_2");
+    const std::size_t mirror = fp.blockIndex(vertical ? "u2_3" : "u3_2");
 
     const StackModel m1(fp, PackageConfig::makeOilSilicon(10.0, dir),
                         gridOpts(12, 12));
@@ -249,17 +261,15 @@ TEST_P(DirectionProperty, MirrorSymmetryOfOpposedFlows)
                         PackageConfig::makeOilSilicon(10.0, opposite),
                         gridOpts(12, 12));
 
-    std::vector<double> left(fp.blockCount(), 0.0);
-    std::vector<double> right(fp.blockCount(), 0.0);
-    left[fp.blockIndex("u0_2")] = 10.0;
-    right[fp.blockIndex("u3_2")] = 10.0;
+    std::vector<double> p1(fp.blockCount(), 0.0);
+    std::vector<double> p2(fp.blockCount(), 0.0);
+    p1[source] = 10.0;
+    p2[mirror] = 10.0;
 
-    const auto t1 = m1.steadyBlockTemperatures(left);
-    const auto t2 = m2.steadyBlockTemperatures(right);
-    EXPECT_NEAR(t1[fp.blockIndex("u0_2")],
-                t2[fp.blockIndex("u3_2")], 1e-6);
-    EXPECT_NEAR(t1[fp.blockIndex("u3_2")],
-                t2[fp.blockIndex("u0_2")], 1e-6);
+    const auto t1 = m1.steadyBlockTemperatures(p1);
+    const auto t2 = m2.steadyBlockTemperatures(p2);
+    EXPECT_NEAR(t1[source], t2[mirror], 1e-6);
+    EXPECT_NEAR(t1[mirror], t2[source], 1e-6);
 }
 
 INSTANTIATE_TEST_SUITE_P(

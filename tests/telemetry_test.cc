@@ -26,7 +26,6 @@
 #include <gtest/gtest.h>
 
 #include "base/errors.hh"
-#include "obs/event_trace.hh"
 #include "obs/export.hh"
 #include "obs/http_server.hh"
 #include "obs/metrics.hh"
@@ -207,28 +206,39 @@ TEST(Span, TraceEventJsonIsValidAndPairsBeginEnd)
     EXPECT_NE(doc.find("\"tier\""), std::string::npos);
 }
 
-TEST(Span, TraceEventExportCarriesEventOverlay)
+TEST(Span, InstantExportsOnItsSpanThreadUnderThatSpan)
 {
     if (!obs::kMetricsEnabled)
         GTEST_SKIP() << "instrumentation compiled out";
     SpanScope scope;
-    obs::EventTrace trace(8);
-    trace.setEnabled(true);
-    {
-        obs::ScopedSpan span("t.with_overlay");
-        trace.record("t.instant", {{"x", 1.0}});
-    }
-    const std::string doc = obs::spansToTraceJson(
-        obs::SpanRecorder::global(), &trace);
-    const sweep::JsonValue root =
-        sweep::parseJson(doc, "spans trace overlay");
-    bool sawInstant = false;
+    std::thread worker([] {
+        // A second thread, so the span's tid is not trivially 0.
+        obs::ScopedSpan span("t.with_instant");
+        IRTHERM_EVENT("t.instant", {"x", 1.0});
+    });
+    worker.join();
+    const std::string doc =
+        obs::spansToTraceJson(obs::SpanRecorder::global());
+    const sweep::JsonValue root = sweep::parseJson(doc, "instants");
+    const sweep::JsonValue *begin = nullptr;
+    const sweep::JsonValue *instant = nullptr;
     for (const sweep::JsonValue &e : root.at("traceEvents").items) {
-        if (e.at("ph").text == "i" &&
-            e.at("name").text == "t.instant")
-            sawInstant = true;
+        if (e.at("ph").text == "B" &&
+            e.at("name").text == "t.with_instant")
+            begin = &e;
+        if (e.at("ph").text == "i")
+            instant = &e;
     }
-    EXPECT_TRUE(sawInstant);
+    ASSERT_NE(begin, nullptr) << doc;
+    ASSERT_NE(instant, nullptr) << doc;
+    EXPECT_EQ(instant->at("name").text, "t.instant");
+    EXPECT_EQ(instant->at("s").text, "t");
+    EXPECT_EQ(instant->at("tid").number, begin->at("tid").number);
+    EXPECT_EQ(instant->at("pid").number, begin->at("pid").number);
+    EXPECT_EQ(instant->at("args").at("parent").number,
+              begin->at("args").at("id").number);
+    EXPECT_EQ(instant->at("args").at("x").number, 1.0);
+    EXPECT_GE(instant->at("ts").number, begin->at("ts").number);
 }
 
 TEST(Histogram, QuantilesInterpolateWithinBuckets)
