@@ -420,6 +420,20 @@ runCoordinator(const sweep::SweepPlan &plan,
         return jsonResponse(200, body);
     });
 
+    // A worker's goodbye, sent after its last complete and span flush.
+    server.route("POST", "/leave", [&](const obs::HttpRequest &req) {
+        try {
+            const JsonValue doc =
+                sweep::parseJson(req.body, "POST /leave");
+            fleet.depart(requireString(doc, "worker", "POST /leave"));
+        } catch (const FatalError &e) {
+            return jsonResponse(
+                400, std::string("{\"error\":\"") +
+                         obs::jsonEscape(e.what()) + "\"}");
+        }
+        return jsonResponse(200, "{\"ok\":true}");
+    });
+
     server.route("POST", "/spans", [&](const obs::HttpRequest &req) {
         std::string worker;
         std::size_t acceptedSpans = 0;
@@ -458,7 +472,12 @@ runCoordinator(const sweep::SweepPlan &plan,
                  suspectAfter, " s — marking suspect");
         }
     };
-    while (!table.allComplete() && !shutdownRequested()) {
+    // Once the last job completes, keep serving until every worker
+    // has left (or is known gone): a worker's final duplicate
+    // complete and span flush arrive after the /complete that ended
+    // the plan, and must not meet a closed port.
+    while (!shutdownRequested() &&
+           !(table.allComplete() && fleet.settled(table.workerLeases()))) {
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
         if (++ticks % 50 == 0)
             sweepForSuspects();

@@ -331,6 +331,30 @@ FleetBoard::suspectCount() const
     return n;
 }
 
+void
+FleetBoard::depart(const std::string &worker)
+{
+    std::lock_guard<std::mutex> lock(mu);
+    Slot &slot = slots[worker];
+    stampLocked(slot);
+    slot.departed = true;
+}
+
+bool
+FleetBoard::settled(
+    const std::map<std::string, LeaseTable::WorkerLeases> &leases) const
+{
+    std::lock_guard<std::mutex> lock(mu);
+    for (const auto &[name, wl] : leases) {
+        const auto it = slots.find(name);
+        const bool gone = it == slots.end() || it->second.departed ||
+                          it->second.suspect;
+        if (!gone && !(wl.expired > 0 && wl.liveLeases == 0))
+            return false;
+    }
+    return true;
+}
+
 FleetTraceStore::FleetTraceStore(std::size_t capacity) : cap(capacity)
 {}
 

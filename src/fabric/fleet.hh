@@ -141,12 +141,25 @@ class FleetBoard
     /** Workers currently marked suspect. */
     std::size_t suspectCount() const;
 
+    /** Record @p worker's goodbye (POST /leave; also a heartbeat). */
+    void depart(const std::string &worker);
+
+    /**
+     * True when no worker in @p leases is still expected to report:
+     * each has departed, turned suspect, or lost a lease and holds
+     * none (it died, or its late results are duplicates anyway).
+     */
+    bool settled(
+        const std::map<std::string, LeaseTable::WorkerLeases> &leases)
+        const;
+
   private:
     struct Slot
     {
         double lastSeen = 0.0; ///< obs::monotonicSeconds() stamp
         std::uint64_t heartbeats = 0;
         bool suspect = false;
+        bool departed = false;
         std::uint64_t flaps = 0;
         WorkerMetricsSnapshot snap;
         /** Trailing (time, executed) stamps for the jobs/s window. */

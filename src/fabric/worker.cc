@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -93,8 +94,10 @@ runWorker(const WorkerOptions &opts)
         opts.name.empty() ? "worker-" + std::to_string(::getpid())
                           : opts.name;
     obs::SpanRecorder::setThreadLabel(name);
-    obs::ScopedSpan span("fabric.worker");
-    span.attr("name", name);
+    // The worker's root span, opened once the first grant enables the
+    // recorder (a span opened before would record nothing) and sealed
+    // before the final flush ships it.
+    std::optional<obs::ScopedSpan> span;
     auto &reg = obs::MetricsRegistry::global();
 
     sweep::JobExecutor executor(opts.exec);
@@ -263,6 +266,10 @@ runWorker(const WorkerOptions &opts)
         sum.traceId = adopted.traceId;
         obs::setProcessTraceContext(adopted);
         obs::SpanRecorder::global().setEnabled(true);
+        if (!span) {
+            span.emplace("fabric.worker");
+            span->attr("name", name);
+        }
 
         if (grant.jobs.empty()) {
             if (grant.done)
@@ -420,12 +427,23 @@ runWorker(const WorkerOptions &opts)
                   {"renewals", sum.renewals},
                   {"duplicates", sum.duplicates},
                   {"rejected", sum.rejected}, {"died", sum.died});
+    if (span) {
+        span->attr("executed", sum.executed).attr("leases", sum.leases);
+        span.reset();
+    }
     // Final flush: records sealed since the last report, this done
-    // instant included (a died worker ships nothing — that is the
+    // instant and the root span included, then the goodbye that lets
+    // the coordinator stop (a died worker does neither — that is the
     // point of the fault).
-    if (!sum.died)
+    if (!sum.died && connected) {
         shipSpans();
-    span.attr("executed", sum.executed).attr("leases", sum.leases);
+        try {
+            post("/leave",
+                 "{\"worker\":\"" + obs::jsonEscape(name) + "\"}");
+        } catch (const FatalError &) {
+            // The coordinator already stopped; nothing waits for us.
+        }
+    }
     inform("fabric: worker '", name, "' finished: ", sum.executed,
            " executed (", sum.ok, " ok), ", sum.leases, " leases, ",
            sum.renewals, " renewals");

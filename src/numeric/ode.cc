@@ -231,106 +231,55 @@ Rk4Integrator::advance(std::vector<double> &temps,
 }
 
 BackwardEulerIntegrator::BackwardEulerIntegrator(
-    const CsrMatrix &g, std::vector<double> capacitance, double dt_,
-    const IterativeOptions &solver)
-    : capOverDt(std::move(capacitance)), dt(dt_), solverOpts(solver),
+    const CsrMatrix &g, std::vector<double> capacitance, double dt_)
+    : capOverDt(std::move(capacitance)), dt(dt_),
       solvesMetric(
           obs::MetricsRegistry::global().counter("numeric.be.solves")),
-      iterationsHist(obs::MetricsRegistry::global().histogram(
-          "numeric.be.cg_iterations")),
-      warmStartHist(obs::MetricsRegistry::global().histogram(
-          "numeric.be.warm_start_residual")),
-      residualGauge(obs::MetricsRegistry::global().gauge(
-          "numeric.be.last_residual"))
+      factorizationsMetric(obs::MetricsRegistry::global().counter(
+          "numeric.be.factorizations")),
+      factorTimer(obs::MetricsRegistry::global().timer(
+          "numeric.be.factor_seconds")),
+      fillGauge(
+          obs::MetricsRegistry::global().gauge("numeric.be.factor_fill"))
 {
     checkSizes(g, capOverDt);
     if (dt <= 0.0)
         fatal("BackwardEulerIntegrator: non-positive dt");
     for (double &c : capOverDt)
         c /= dt;
-    systemCsr = addDiagonal(g, capOverDt);
-    csrView = std::make_unique<CsrOperator>(systemCsr);
-    system = csrView.get();
-    symmetric = systemCsr.isSymmetric(1e-9);
-    finishSetup();
-}
-
-BackwardEulerIntegrator::BackwardEulerIntegrator(
-    const GridStencilOperator &g, std::vector<double> capacitance,
-    double dt_, const IterativeOptions &solver)
-    : capOverDt(std::move(capacitance)), dt(dt_), solverOpts(solver),
-      solvesMetric(
-          obs::MetricsRegistry::global().counter("numeric.be.solves")),
-      iterationsHist(obs::MetricsRegistry::global().histogram(
-          "numeric.be.cg_iterations")),
-      warmStartHist(obs::MetricsRegistry::global().histogram(
-          "numeric.be.warm_start_residual")),
-      residualGauge(obs::MetricsRegistry::global().gauge(
-          "numeric.be.last_residual"))
-{
-    checkSizes(g.rows(), capOverDt);
-    if (dt <= 0.0)
-        fatal("BackwardEulerIntegrator: non-positive dt");
-    for (double &c : capOverDt)
-        c /= dt;
-    systemStencil = std::make_unique<GridStencilOperator>(
-        g.scaledShifted(1.0, capOverDt));
-    system = systemStencil.get();
-    symmetric = true; // stencil stamping is symmetric by construction
-    finishSetup();
+    system = addDiagonal(g, capOverDt);
 }
 
 void
-BackwardEulerIntegrator::finishSetup()
+BackwardEulerIntegrator::factorSystem()
 {
-    // The system matrix never changes, so factor the preconditioner
-    // once here instead of once per step inside the solver.
-    if (symmetric) {
-        precond = system->makePreconditioner(
-            effectivePreconditioner(*system, capOverDt,
-                                    solverOpts.preconditioner),
-            solverOpts.ssorOmega);
-    }
-    rhs.resize(capOverDt.size());
+    // Lazily, so that building a simulator stays cheap; the assembled
+    // matrix is not needed once the factor exists.
+    obs::ScopedTimer timer(factorTimer);
+    obs::ScopedSpan span("numeric.be.factor");
+    factor = std::make_unique<SparseFactor>(system);
+    system = CsrMatrix();
+    factorizationsMetric.add();
+    fillGauge.set(static_cast<double>(factor->fill()));
+    span.attr("n", factor->size())
+        .attr("fill", factor->fill())
+        .attr("ordering_s", factor->orderingSeconds());
 }
 
 void
 BackwardEulerIntegrator::step(std::vector<double> &temps,
                               const std::vector<double> &power)
 {
-    const std::size_t n = system->rows();
+    const std::size_t n = capOverDt.size();
     if (temps.size() != n || power.size() != n)
         fatal("BackwardEulerIntegrator::step: vector size mismatch");
     obs::ScopedSpan span("numeric.be.step");
-    const double *cd = capOverDt.data();
-    const double *td = temps.data();
-    const double *pw = power.data();
-    double *rd = rhs.data();
-    forEachRange(n, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i)
-            rd[i] = cd[i] * td[i] + pw[i];
-    });
-    IterativeResult r =
-        symmetric ? conjugateGradient(*system, rhs, temps, solverOpts,
-                                      precond.get(), &ws)
-                  : biCgStab(systemCsr, rhs, temps, solverOpts);
-    if (!r.converged) {
-        // Rebuild through the verified fallback chain instead of
-        // aborting (a transient NaN or injected fault clears on a
-        // fresh tier); NumericError when every tier fails.
-        RobustSolveOptions ropts;
-        ropts.iterative = solverOpts;
-        ropts.symmetric = symmetric;
-        ropts.scope = FaultInjector::currentContext();
-        const CsrMatrix *csr =
-            systemCsr.rows() == n ? &systemCsr : nullptr;
-        r = robustSolve(*system, csr, rhs, temps, ropts, &ws).solve;
-    }
+    if (!factor)
+        factorSystem();
+    for (std::size_t i = 0; i < n; ++i)
+        temps[i] = capOverDt[i] * temps[i] + power[i];
+    factor->solve(temps, scratch);
     solvesMetric.add();
-    iterationsHist.observe(static_cast<double>(r.iterations));
-    warmStartHist.observe(r.initialResidualNorm);
-    residualGauge.set(r.residualNorm);
-    temps = std::move(r.x);
 }
 
 void
@@ -442,7 +391,9 @@ CrankNicolsonIntegrator::step(std::vector<double> &temps,
                                       precond.get(), &ws)
                   : biCgStab(systemCsr, rhs, temps, solverOpts);
     if (!r.converged) {
-        // Same escalation as BackwardEulerIntegrator::step.
+        // Rebuild through the verified fallback chain instead of
+        // aborting (a transient NaN or injected fault clears on a
+        // fresh tier); NumericError when every tier fails.
         RobustSolveOptions ropts;
         ropts.iterative = solverOpts;
         ropts.symmetric = symmetric;

@@ -14,17 +14,18 @@
  *    rejected more than 30% of their trial steps, and the first one
  *    logs a warning.
  *  - BackwardEulerIntegrator: L-stable implicit method with a fixed
- *    step; unconditionally stable on stiff grid-mode networks.
+ *    step; unconditionally stable on stiff grid-mode networks. Its
+ *    system matrix never changes, so it is factored once by a sparse
+ *    direct solver (numeric/sparse_factor.hh) and each step is two
+ *    triangular solves.
  *  - CrankNicolsonIntegrator: second-order implicit; used by the
  *    reference FD solver so that validation runs through an
- *    independent scheme.
+ *    independent scheme. It accepts a stored CsrMatrix or a
+ *    matrix-free GridStencilOperator, builds its preconditioner once
+ *    in the constructor and reuses it — together with a persistent CG
+ *    workspace and rhs scratch — for every step.
  *
- * The implicit integrators accept either a stored CsrMatrix or a
- * matrix-free GridStencilOperator. Their system matrices never change
- * between steps, so each instance builds its preconditioner once in
- * the constructor and reuses it — together with a persistent CG
- * workspace and rhs scratch — for every step: the steady advance()
- * loops allocate nothing.
+ * The steady advance() loops allocate nothing.
  *
  * Power is held constant across one advance() call, matching how the
  * simulator drives the network (one power vector per trace sample).
@@ -41,6 +42,7 @@
 #include "numeric/iterative.hh"
 #include "numeric/linear_operator.hh"
 #include "numeric/sparse.hh"
+#include "numeric/sparse_factor.hh"
 #include "obs/metrics.hh"
 
 namespace irtherm
@@ -113,21 +115,22 @@ class Rk4Integrator
 /**
  * Backward Euler with a fixed step:
  *   (C/dt + G) T_{n+1} = (C/dt) T_n + P
- * The system matrix is formed once (CSR or matrix-free stencil),
- * its preconditioner factored once, and each step is one
- * warm-started preconditioned CG solve reusing the same workspace.
+ * The system matrix is formed once; the first step() factors it
+ * (fill-reducing ordering plus LDLᵀ, or LDU on the same pattern for
+ * an advective network) and every step is two triangular solves on
+ * that factor. The factor belongs to the integrator and is freed
+ * with it.
  */
 class BackwardEulerIntegrator
 {
   public:
+    /**
+     * The first step() throws NumericError when C/dt + G has a
+     * pivot that is not positive and finite (neither SPD nor
+     * diagonally dominant).
+     */
     BackwardEulerIntegrator(const CsrMatrix &g,
-                            std::vector<double> capacitance, double dt,
-                            const IterativeOptions &solver = {});
-
-    /** Matrix-free variant: system = G scaled-shifted by C/dt. */
-    BackwardEulerIntegrator(const GridStencilOperator &g,
-                            std::vector<double> capacitance, double dt,
-                            const IterativeOptions &solver = {});
+                            std::vector<double> capacitance, double dt);
 
     /** Fixed step size this integrator was built for. */
     double stepSize() const { return dt; }
@@ -146,32 +149,24 @@ class BackwardEulerIntegrator
                  const std::vector<double> &power, double duration);
 
   private:
-    void finishSetup();
+    void factorSystem();
 
-    CsrMatrix systemCsr;                   ///< C/dt + G (CSR path)
-    std::unique_ptr<CsrOperator> csrView;
-    std::unique_ptr<GridStencilOperator> systemStencil;
-    const LinearOperator *system = nullptr;
-
+    CsrMatrix system;                      ///< C/dt + G until factored
+    std::unique_ptr<SparseFactor> factor;  ///< built by the first step
     std::vector<double> capOverDt;
     double dt;
-    IterativeOptions solverOpts;
-    bool symmetric = true;            ///< CG vs BiCGSTAB dispatch
-
-    std::unique_ptr<Preconditioner> precond; ///< built once (CG path)
-    CgWorkspace ws;
-    std::vector<double> rhs;
+    std::vector<double> scratch;
 
     obs::Counter &solvesMetric;
-    obs::Histogram &iterationsHist;
-    obs::Histogram &warmStartHist;
-    obs::Gauge &residualGauge;
+    obs::Counter &factorizationsMetric;
+    obs::Timer &factorTimer;
+    obs::Gauge &fillGauge;
 };
 
 /**
  * Crank-Nicolson with a fixed step:
  *   (C/dt + G/2) T_{n+1} = (C/dt - G/2) T_n + P
- * Same caching structure as BackwardEulerIntegrator.
+ * The system matrix and its preconditioner are built once.
  */
 class CrankNicolsonIntegrator
 {

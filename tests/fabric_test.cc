@@ -38,6 +38,8 @@
 #include "fabric/result_cache.hh"
 #include "fabric/worker.hh"
 #include "obs/http_server.hh"
+#include "obs/metrics.hh"
+#include "obs/span.hh"
 #include "obs/trace_clock.hh"
 #include "obs/trace_context.hh"
 #include "sweep/json.hh"
@@ -559,8 +561,11 @@ TEST_F(Fabric, DuplicateCompletePostIsIdempotent)
         runFleet(plan, copts, {WorkerOptions{}}, &workers);
 
     EXPECT_EQ(csum.sweep.ok, plan.jobCount());
-    EXPECT_GE(csum.duplicateCompletes, plan.jobCount());
-    EXPECT_GE(workers[0].duplicates, plan.jobCount());
+    // Every re-POST is served, the one after the plan's last
+    // complete included (the coordinator waits for the worker's
+    // goodbye), so both sides count every job exactly once.
+    EXPECT_EQ(csum.duplicateCompletes, plan.jobCount());
+    EXPECT_EQ(workers[0].duplicates, csum.duplicateCompletes);
     // The journal holds each job exactly once (normalizedJournal
     // asserts on duplicate hashes).
     EXPECT_EQ(normalizedJournal(copts.outDir).size(),
@@ -760,6 +765,72 @@ TEST_F(Fabric, TraceContextPropagatesFromLeaseToMergedTrace)
     EXPECT_EQ(wsum.traceId, ctx.traceId);
     EXPECT_GE(csum.spansMerged, 1u);
     EXPECT_EQ(csum.sweep.ok, plan.jobCount());
+}
+
+TEST_F(Fabric, WorkerRootSpanNestsItsJobsInMergedTrace)
+{
+    if (!obs::kMetricsEnabled)
+        GTEST_SKIP() << "instrumentation compiled out";
+    obs::SpanRecorder::global().clear();
+    const sweep::SweepPlan plan = distinctStackPlan();
+    CoordinatorOptions copts;
+    copts.outDir = freshDir("root_span_fabric");
+    copts.leaseJobs = 2;
+    copts.writeReports = false;
+    copts.fleetTraceOut =
+        (std::filesystem::path(copts.outDir) / "fleet.trace.json")
+            .string();
+    WorkerOptions wo;
+    wo.name = "rooted";
+    const CoordinatorSummary csum = runFleet(plan, copts, {wo});
+    ASSERT_EQ(csum.sweep.ok, plan.jobCount());
+
+    std::ifstream in(copts.fleetTraceOut);
+    const std::string doc((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+    const sweep::JsonValue root = sweep::parseJson(doc, "fleet trace");
+
+    // Per worker pid: B events by span id, and the B/E balance of
+    // fabric.worker.
+    struct Track
+    {
+        std::map<double, const sweep::JsonValue *> begins;
+        int workerBegins = 0;
+        int workerEnds = 0;
+    };
+    std::map<double, Track> tracks;
+    for (const sweep::JsonValue &e : root.at("traceEvents").items) {
+        const double pid = e.at("pid").number;
+        const std::string ph = e.at("ph").text;
+        if (pid < 2.0 || (ph != "B" && ph != "E"))
+            continue;
+        Track &t = tracks[pid];
+        if (ph == "B")
+            t.begins[e.at("args").at("id").number] = &e;
+        if (e.at("name").text == "fabric.worker")
+            ++(ph == "B" ? t.workerBegins : t.workerEnds);
+    }
+    ASSERT_FALSE(tracks.empty()) << doc;
+    for (const auto &[pid, t] : tracks) {
+        SCOPED_TRACE("worker pid " + std::to_string(pid));
+        EXPECT_EQ(t.workerBegins, 1);
+        EXPECT_EQ(t.workerEnds, 1);
+        std::size_t jobs = 0;
+        for (const auto &[id, b] : t.begins) {
+            if (b->at("name").text != "sweep.job")
+                continue;
+            ++jobs;
+            // Walk the parent chain up to the worker's root span.
+            const sweep::JsonValue *at = b;
+            while (at != nullptr && at->at("name").text != "fabric.worker") {
+                const auto up = t.begins.find(
+                    at->at("args").at("parent").number);
+                at = up == t.begins.end() ? nullptr : up->second;
+            }
+            EXPECT_NE(at, nullptr) << "sweep.job " << id << " not nested";
+        }
+        EXPECT_EQ(jobs, plan.jobCount());
+    }
 }
 
 TEST_F(Fabric, MalformedTraceContextDegradesToLocalTrace)

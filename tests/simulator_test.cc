@@ -308,8 +308,9 @@ TEST(Simulator, AdvancePopulatesGlobalMetrics)
     besim.setBlockPowers(s.powers);
     besim.advance(1e-3);
     EXPECT_TRUE(reg.has("numeric.be.solves"));
-    EXPECT_TRUE(reg.has("numeric.be.cg_iterations"));
-    EXPECT_TRUE(reg.has("numeric.be.warm_start_residual"));
+    EXPECT_TRUE(reg.has("numeric.be.factorizations"));
+    EXPECT_TRUE(reg.has("numeric.be.factor_seconds"));
+    EXPECT_TRUE(reg.has("numeric.be.factor_fill"));
 
     // Block mode under Auto steps modally: the first advance builds
     // the model's basis (one build, one mode per node); RK4 idles.
